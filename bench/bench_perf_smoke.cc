@@ -4,16 +4,10 @@
  * paths plus one small end-to-end cell, emitting BENCH_perf_smoke.json
  * so the events/sec trajectory is comparable across commits. Registered
  * as a fast ctest so every CI run records the numbers.
- *
- * The event-queue section also runs a std::function-per-event baseline
- * queue (the pre-InlineFunction design, one heap allocation per
- * scheduled callback) so the JSON quantifies what the small-buffer
- * callback rework buys.
  */
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <queue>
 
 #include "bench/bench_common.h"
 #include "src/ssd/ftl.h"
@@ -31,54 +25,8 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-/**
- * The pre-rework event queue: identical heap/comparator, but callbacks
- * boxed in std::function, so every capture beyond the SSO threshold is
- * a malloc at schedule time and a free at dispatch.
- */
-class BaselineEventQueue
-{
-  public:
-    void scheduleAt(SimTime when, std::function<void()> cb)
-    {
-        heap_.push(Event{when, seq_++, std::move(cb)});
-    }
-
-    bool step()
-    {
-        if (heap_.empty())
-            return false;
-        Event ev = std::move(const_cast<Event &>(heap_.top()));
-        heap_.pop();
-        now_ = ev.when;
-        ev.cb();
-        return true;
-    }
-
-    SimTime now() const { return now_; }
-
-  private:
-    struct Event
-    {
-        SimTime when;
-        std::uint64_t seq;
-        std::function<void()> cb;
-    };
-    struct Later
-    {
-        bool operator()(const Event &a, const Event &b) const
-        {
-            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-        }
-    };
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
-    SimTime now_ = 0;
-    std::uint64_t seq_ = 0;
-};
-
-/** Payload sized past std::function's SSO so the baseline allocates,
- *  mirroring the FlashDevice completion wrappers the simulator
- *  actually schedules. */
+/** A capture of a few words, like the device completion callbacks the
+ *  simulator schedules. */
 struct Payload
 {
     std::uint64_t a, b, c, d, e;
@@ -86,9 +34,8 @@ struct Payload
 
 /** Self-rescheduling event chains through @p q until @p target events
  *  dispatched; returns events/sec. */
-template <typename Queue>
 double
-eventQueueThroughput(Queue &q, std::uint64_t target)
+eventQueueThroughput(EventQueue &q, std::uint64_t target)
 {
     std::uint64_t dispatched = 0;
     std::uint64_t sink = 0;
@@ -122,22 +69,13 @@ main(int argc, char **argv)
     BenchReport report("perf_smoke");
     report.setJobs(benchJobs());
 
-    // --- 1. Event-queue throughput (inline vs std::function) --------
+    // --- 1. Event-queue throughput -----------------------------------
     constexpr std::uint64_t kEvents = 2'000'000;
     EventQueue eq;
-    const double inline_eps = eventQueueThroughput(eq, kEvents);
-    BaselineEventQueue base_eq;
-    const double boxed_eps = eventQueueThroughput(base_eq, kEvents);
-    std::cout << "event queue: " << fmtDouble(inline_eps / 1e6, 2)
-              << " M events/s inline-callback vs "
-              << fmtDouble(boxed_eps / 1e6, 2)
-              << " M events/s std::function baseline ("
-              << fmtDouble(inline_eps / boxed_eps, 2) << "x)\n";
-    report.addCell("event_queue",
-                   {{"events_per_sec_inline", inline_eps},
-                    {"events_per_sec_std_function", boxed_eps},
-                    {"inline_speedup", inline_eps / boxed_eps}},
-                   kEvents);
+    const double eq_eps = eventQueueThroughput(eq, kEvents);
+    std::cout << "event queue: " << fmtDouble(eq_eps / 1e6, 2)
+              << " M events/s\n";
+    report.addCell("event_queue", {{"events_per_sec", eq_eps}}, kEvents);
 
     // --- 2. FTL write + lookup throughput ----------------------------
     {
@@ -195,7 +133,5 @@ main(int argc, char **argv)
         report.setMetric("end_to_end_events_per_sec", eps);
     }
 
-    report.setMetric("event_queue_inline_speedup",
-                     inline_eps / boxed_eps);
     return report.finish(argc, argv);
 }

@@ -30,6 +30,7 @@ ChannelDemandNet::ChannelDemandNet()
     const int kSteps = 4000;
     const int kBatch = 16;
     double loss = 0.0;
+    rl::Vector dh(trunk_.outSize());
     for (int step = 0; step < kSteps; ++step) {
         store_.zeroGrads();
         loss = 0.0;
@@ -39,13 +40,13 @@ ChannelDemandNet::ChannelDemandNet()
             const double k = rng_.uniform(4.0, 256.0);
             const double target = std::clamp(
                 (r + w) / kChannelMBps * 1.15 + k / 1024.0, 0.5, 16.0);
-            const rl::Vector x = normalize(r, w, k);
-            const rl::Vector h = trunk_.forward(x);
-            const double y = head_.forward(h)[0];
+            const rl::Vector &h = trunk_.forward(normalize(r, w, k));
+            double y = 0.0;
+            head_.forward(h, std::span<double>(&y, 1));
             const double err = y - target;
             loss += 0.5 * err * err;
-            const rl::Vector dy{err / double(kBatch)};
-            const rl::Vector dh = head_.backward(dy, h);
+            const double dy = err / double(kBatch);
+            head_.backward(std::span<const double>(&dy, 1), h, dh);
             trunk_.backward(dh);
         }
         opt.step();
@@ -53,8 +54,8 @@ ChannelDemandNet::ChannelDemandNet()
     final_loss_ = loss / kBatch;
 }
 
-rl::Vector
-ChannelDemandNet::normalize(double r, double w, double k) const
+std::array<double, 3>
+ChannelDemandNet::normalize(double r, double w, double k)
 {
     return {r / kBwScale, w / kBwScale, k / kSizeScale};
 }
@@ -63,9 +64,15 @@ double
 ChannelDemandNet::predict(double read_mbps, double write_mbps,
                           double avg_io_kb) const
 {
-    const rl::Vector h =
-        trunk_.forward(normalize(read_mbps, write_mbps, avg_io_kb));
-    return std::max(0.0, head_.forward(h)[0]);
+    // Every cell shares one trained net (demandNet() is a static), and
+    // a forward pass writes the trunk's activation workspaces, so each
+    // prediction runs on its own copy of the trunk.
+    rl::Mlp trunk = trunk_;
+    const rl::Vector &h =
+        trunk.forward(normalize(read_mbps, write_mbps, avg_io_kb));
+    double y = 0.0;
+    head_.forward(h, std::span<double>(&y, 1));
+    return std::max(0.0, y);
 }
 
 const ChannelDemandNet &

@@ -6,6 +6,7 @@
  */
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "src/policies/policy.h"
@@ -32,12 +33,12 @@ class ChannelDemandNet
     double finalLoss() const { return final_loss_; }
 
   private:
-    rl::Vector normalize(double r, double w, double k) const;
+    static std::array<double, 3> normalize(double r, double w, double k);
 
     rl::ParameterStore store_;
-    mutable Rng rng_;
-    mutable rl::Mlp trunk_;
-    mutable rl::Linear head_;
+    Rng rng_;
+    rl::Mlp trunk_;
+    rl::Linear head_;
     double final_loss_ = 0.0;
 };
 

@@ -2,12 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 namespace fleetio::rl {
 
-Categorical::Categorical(Vector logits)
-    : probs_(softmax(logits)), log_probs_(logSoftmax(logits))
+void
+Categorical::setLogits(std::span<const double> logits)
 {
+    assert(!logits.empty());
+    const std::size_t n = logits.size();
+    probs_.resize(n);
+    log_probs_.resize(n);
+    const double m = *std::max_element(logits.begin(), logits.end());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        probs_[i] = std::exp(logits[i] - m);
+        sum += probs_[i];
+    }
+    const double log_z = m + std::log(sum);
+    for (std::size_t i = 0; i < n; ++i) {
+        probs_[i] /= sum;
+        log_probs_[i] = logits[i] - log_z;
+    }
+    double h = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        h -= probs_[i] * log_probs_[i];
+    entropy_ = h;
 }
 
 std::size_t
@@ -36,32 +56,21 @@ Categorical::logProb(std::size_t a) const
     return log_probs_[a];
 }
 
-double
-Categorical::entropy() const
+void
+Categorical::logProbGradLogits(std::size_t a, double coeff,
+                               std::span<double> g) const
 {
-    double h = 0.0;
-    for (std::size_t i = 0; i < probs_.size(); ++i)
-        h -= probs_[i] * log_probs_[i];
-    return h;
-}
-
-Vector
-Categorical::logProbGradLogits(std::size_t a, double coeff) const
-{
-    Vector g(probs_.size());
+    assert(g.size() == probs_.size());
     for (std::size_t i = 0; i < probs_.size(); ++i)
         g[i] = coeff * ((i == a ? 1.0 : 0.0) - probs_[i]);
-    return g;
 }
 
-Vector
-Categorical::entropyGradLogits(double coeff) const
+void
+Categorical::addEntropyGradLogits(double coeff, std::span<double> g) const
 {
-    const double h = entropy();
-    Vector g(probs_.size());
+    assert(g.size() == probs_.size());
     for (std::size_t i = 0; i < probs_.size(); ++i)
-        g[i] = coeff * (-probs_[i] * (log_probs_[i] + h));
-    return g;
+        g[i] += coeff * (-probs_[i] * (log_probs_[i] + entropy_));
 }
 
 }  // namespace fleetio::rl

@@ -79,35 +79,4 @@ dot(const Vector &a, const Vector &b)
     return s;
 }
 
-Vector
-softmax(const Vector &logits)
-{
-    assert(!logits.empty());
-    const double m = *std::max_element(logits.begin(), logits.end());
-    Vector out(logits.size());
-    double sum = 0.0;
-    for (std::size_t i = 0; i < logits.size(); ++i) {
-        out[i] = std::exp(logits[i] - m);
-        sum += out[i];
-    }
-    for (double &v : out)
-        v /= sum;
-    return out;
-}
-
-Vector
-logSoftmax(const Vector &logits)
-{
-    assert(!logits.empty());
-    const double m = *std::max_element(logits.begin(), logits.end());
-    double sum = 0.0;
-    for (double v : logits)
-        sum += std::exp(v - m);
-    const double log_z = m + std::log(sum);
-    Vector out(logits.size());
-    for (std::size_t i = 0; i < logits.size(); ++i)
-        out[i] = logits[i] - log_z;
-    return out;
-}
-
 }  // namespace fleetio::rl

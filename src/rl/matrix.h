@@ -2,7 +2,7 @@
  * @file
  * Minimal dense linear algebra for the RL library: a flat parameter
  * store with paired gradients, plus free-function vector helpers. The
- * policy network is ~9K parameters, so simplicity beats BLAS here.
+ * policy network has 4,964 parameters, so simplicity beats BLAS here.
  */
 #pragma once
 
@@ -56,11 +56,5 @@ void axpy(double a, const Vector &x, Vector &y);
 
 /** Dot product. */
 double dot(const Vector &a, const Vector &b);
-
-/** Numerically-stable softmax of @p logits. */
-Vector softmax(const Vector &logits);
-
-/** log(softmax(logits)) computed stably. */
-Vector logSoftmax(const Vector &logits);
 
 }  // namespace fleetio::rl

@@ -2,11 +2,13 @@
  * @file
  * Feed-forward building blocks: a Linear layer with manual backprop and
  * an Mlp trunk of tanh-activated Linear layers (paper Table 3: hidden
- * layer sizes [50, 50]).
+ * layer sizes [50, 50]). Both write into caller or member buffers, so a
+ * forward/backward pass allocates nothing.
  */
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "src/rl/matrix.h"
@@ -31,14 +33,18 @@ class Linear
     std::size_t inSize() const { return in_; }
     std::size_t outSize() const { return out_; }
 
-    /** y = W x + b. */
-    Vector forward(const Vector &x) const;
+    /**
+     * y = W x + b. Each y[o] is b[o] plus the products added in order
+     * of the input index, whatever the batching of outputs.
+     */
+    void forward(std::span<const double> x, std::span<double> y) const;
 
     /**
      * Backprop: given dL/dy and the forward input x, accumulate dW and
-     * db into the store and return dL/dx.
+     * db into the store. Writes dL/dx into @p dx unless it is empty.
      */
-    Vector backward(const Vector &dy, const Vector &x);
+    void backward(std::span<const double> dy, std::span<const double> x,
+                  std::span<double> dx);
 
   private:
     ParameterStore *store_;
@@ -60,22 +66,31 @@ class Mlp
     std::size_t inSize() const { return in_; }
     std::size_t outSize() const { return out_; }
 
-    /** Forward pass; caches pre/post-activation values. */
-    Vector forward(const Vector &x);
+    /**
+     * Forward pass; caches the input and the activations. The returned
+     * output stays valid until the next forward().
+     */
+    const Vector &forward(std::span<const double> x);
+
+    /** The output of the latest forward(). */
+    const Vector &output() const { return acts_.back(); }
 
     /**
      * Backward through the cached activations; accumulates parameter
-     * grads and returns dL/dinput. Must follow a forward() on the same
-     * input.
+     * grads. Must follow a forward(). dL/dinput is not computed: no
+     * caller reads it.
      */
-    Vector backward(const Vector &dout);
+    void backward(std::span<const double> dout);
 
   private:
     std::size_t in_, out_;
     std::vector<Linear> layers_;
-    // Cache: inputs_[i] is the input to layer i; acts_[i] is tanh output.
-    std::vector<Vector> inputs_;
+    // Workspaces, sized at construction: input_ is the latest forward
+    // input, acts_[i] the tanh output of layer i; dz_ and grad_ hold
+    // dL/dz and dL/dy of the layer backward() is at.
+    Vector input_;
     std::vector<Vector> acts_;
+    Vector dz_, grad_;
 };
 
 }  // namespace fleetio::rl

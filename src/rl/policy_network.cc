@@ -1,5 +1,6 @@
 #include "src/rl/policy_network.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fleetio::rl {
@@ -29,32 +30,39 @@ PolicyNetwork::PolicyNetwork(std::size_t state_dim, const ActionSpec &spec,
       init_rng_(seed),
       trunk_(store_, state_dim, hidden, init_rng_),
       heads_(buildHeads(store_, trunk_.outSize(), spec, init_rng_)),
-      value_head_(store_, trunk_.outSize(), 1, init_rng_, /*gain=*/1.0)
+      value_head_(store_, trunk_.outSize(), 1, init_rng_, /*gain=*/1.0),
+      dx_(trunk_.outSize()),
+      d_trunk_(trunk_.outSize())
 {
     assert(!spec.head_sizes.empty());
+    for (std::size_t k : spec.head_sizes) {
+        logits_.emplace_back(k);
+        dists_.emplace_back(logits_.back());
+    }
+    dlogits_.resize(*std::max_element(spec.head_sizes.begin(),
+                                      spec.head_sizes.end()));
 }
 
 void
-PolicyNetwork::forwardTrunk(const Vector &state)
+PolicyNetwork::forward(const Vector &state)
 {
     assert(state.size() == state_dim_);
-    trunk_out_ = trunk_.forward(state);
-    head_logits_.clear();
-    head_logits_.reserve(heads_.size());
-    for (auto &h : heads_)
-        head_logits_.push_back(h.forward(trunk_out_));
-    value_cache_ = value_head_.forward(trunk_out_)[0];
+    const Vector &trunk_out = trunk_.forward(state);
+    for (std::size_t i = 0; i < heads_.size(); ++i) {
+        heads_[i].forward(trunk_out, logits_[i]);
+        dists_[i].setLogits(logits_[i]);
+    }
+    value_head_.forward(trunk_out, std::span<double>(&value_, 1));
 }
 
 PolicyNetwork::ActResult
 PolicyNetwork::act(const Vector &state, Rng &rng, bool deterministic)
 {
-    forwardTrunk(state);
+    forward(state);
     ActResult res;
-    res.value = value_cache_;
-    res.actions.reserve(head_logits_.size());
-    for (const auto &logits : head_logits_) {
-        Categorical dist(logits);
+    res.value = value_;
+    res.actions.reserve(dists_.size());
+    for (const Categorical &dist : dists_) {
         const std::size_t a =
             deterministic ? dist.argmax() : dist.sample(rng);
         res.actions.push_back(a);
@@ -69,13 +77,12 @@ PolicyNetwork::evaluate(const Vector &state,
                         const std::vector<std::size_t> &actions)
 {
     assert(actions.size() == heads_.size());
-    forwardTrunk(state);
+    forward(state);
     Eval ev;
-    ev.value = value_cache_;
+    ev.value = value_;
     for (std::size_t i = 0; i < heads_.size(); ++i) {
-        Categorical dist(head_logits_[i]);
-        ev.log_prob += dist.logProb(actions[i]);
-        ev.entropy += dist.entropy();
+        ev.log_prob += dists_[i].logProb(actions[i]);
+        ev.entropy += dists_[i].entropy();
     }
     return ev;
 }
@@ -85,26 +92,27 @@ PolicyNetwork::backward(const std::vector<std::size_t> &actions,
                         double dlogp, double dentropy, double dvalue)
 {
     assert(actions.size() == heads_.size());
-    Vector d_trunk(trunk_out_.size(), 0.0);
-
+    const Vector &trunk_out = trunk_.output();
+    std::fill(d_trunk_.begin(), d_trunk_.end(), 0.0);
+    // Each head's dL/dx is summed on its own in dx_, then added to
+    // d_trunk_ head by head, the order that keeps the sums bit-identical.
     for (std::size_t i = 0; i < heads_.size(); ++i) {
-        Categorical dist(head_logits_[i]);
-        Vector dlogits = dist.logProbGradLogits(actions[i], dlogp);
-        if (dentropy != 0.0) {
-            const Vector de = dist.entropyGradLogits(dentropy);
-            axpy(1.0, de, dlogits);
-        }
-        const Vector dx = heads_[i].backward(dlogits, trunk_out_);
-        axpy(1.0, dx, d_trunk);
+        const std::span<double> dlogits(dlogits_.data(),
+                                        heads_[i].outSize());
+        dists_[i].logProbGradLogits(actions[i], dlogp, dlogits);
+        if (dentropy != 0.0)
+            dists_[i].addEntropyGradLogits(dentropy, dlogits);
+        heads_[i].backward(dlogits, trunk_out, dx_);
+        axpy(1.0, dx_, d_trunk_);
     }
 
     if (dvalue != 0.0) {
-        const Vector dv{dvalue};
-        const Vector dx = value_head_.backward(dv, trunk_out_);
-        axpy(1.0, dx, d_trunk);
+        value_head_.backward(std::span<const double>(&dvalue, 1),
+                             trunk_out, dx_);
+        axpy(1.0, dx_, d_trunk_);
     }
 
-    trunk_.backward(d_trunk);
+    trunk_.backward(d_trunk_);
 }
 
 void

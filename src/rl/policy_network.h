@@ -34,7 +34,9 @@ struct ActionSpec
  * The joint action distribution factorizes over heads:
  * log P(a) = sum_i log P_i(a_i). backward() must be called directly
  * after act()/evaluate() on the same state — it consumes the cached
- * activations of that forward pass.
+ * activations and head distributions of that forward pass. Every
+ * buffer a pass needs is a member sized at construction, so evaluate()
+ * and backward() allocate nothing (act() only its result's actions).
  */
 class PolicyNetwork
 {
@@ -80,6 +82,9 @@ class PolicyNetwork
     void backward(const std::vector<std::size_t> &actions, double dlogp,
                   double dentropy, double dvalue);
 
+    /** Logits of head @p head from the latest act() or evaluate(). */
+    const Vector &logits(std::size_t head) const { return logits_[head]; }
+
     ParameterStore &params() { return store_; }
     const ParameterStore &params() const { return store_; }
 
@@ -96,7 +101,8 @@ class PolicyNetwork
     void copyParamsFrom(const PolicyNetwork &other);
 
   private:
-    void forwardTrunk(const Vector &state);
+    /** Trunk, heads and value head on @p state; refills dists_. */
+    void forward(const Vector &state);
 
     std::size_t state_dim_;
     ActionSpec spec_;
@@ -106,10 +112,15 @@ class PolicyNetwork
     std::vector<Linear> heads_;
     Linear value_head_;
 
-    // Forward caches.
-    Vector trunk_out_;
-    std::vector<Vector> head_logits_;
-    double value_cache_ = 0.0;
+    // Forward caches: each head's logits and distribution, the value.
+    std::vector<Vector> logits_;
+    std::vector<Categorical> dists_;
+    double value_ = 0.0;
+    // Backward workspaces: dL/dlogits of one head (widest head), dL/dx
+    // of one head, and their sum over heads (trunk output width).
+    Vector dlogits_;
+    Vector dx_;
+    Vector d_trunk_;
 };
 
 }  // namespace fleetio::rl

@@ -1,15 +1,33 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace fleetio {
+
+EventQueue::EventQueue()
+{
+    heap_.reserve(kInitialCapacity);
+    slab_.reserve(kInitialCapacity);
+    free_slots_.reserve(kInitialCapacity);
+}
 
 void
 EventQueue::scheduleAt(SimTime when, Callback cb)
 {
     if (when < now_)
         when = now_;
-    heap_.push(Event{when, seq_++, std::move(cb)});
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = std::uint32_t(slab_.size());
+        slab_.push_back(std::move(cb));
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+        slab_[slot] = std::move(cb);
+    }
+    heap_.push_back(Key{when, seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool
@@ -17,14 +35,17 @@ EventQueue::step()
 {
     if (heap_.empty() || halted_)
         return false;
-    // priority_queue::top() is const; move out via const_cast on the
-    // callback only — the heap entry is popped immediately after.
-    Event ev = std::move(const_cast<Event &>(heap_.top()));
-    heap_.pop();
-    now_ = ev.when;
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    now_ = key.when;
     ++dispatched_;
-    if (ev.cb)
-        ev.cb();
+    // Move the callback out and free its slot first: the callback may
+    // schedule events, which can reuse the slot or grow the slab.
+    Callback cb = std::move(slab_[key.slot]);
+    free_slots_.push_back(key.slot);
+    if (cb)
+        cb();
     if (after_dispatch_)
         after_dispatch_();
     return true;
@@ -34,7 +55,7 @@ std::uint64_t
 EventQueue::runUntil(SimTime until)
 {
     std::uint64_t n = 0;
-    while (!heap_.empty() && !halted_ && heap_.top().when <= until) {
+    while (!heap_.empty() && !halted_ && heap_.front().when <= until) {
         step();
         ++n;
     }
@@ -52,6 +73,14 @@ EventQueue::runAll()
     while (step())
         ++n;
     return n;
+}
+
+void
+EventQueue::clearPending()
+{
+    heap_.clear();
+    slab_.clear();
+    free_slots_.clear();
 }
 
 }  // namespace fleetio

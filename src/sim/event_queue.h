@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 #include "src/sim/inline_function.h"
@@ -22,10 +21,12 @@ namespace fleetio {
  * which keeps runs reproducible across platforms. The queue owns the
  * simulated clock: now() only advances when events are dispatched.
  *
- * Callbacks are stored in an InlineFunction sized so every callback the
- * simulator schedules (including the FlashDevice completion wrappers,
- * which embed a nested device callback) lives inline in the heap's
- * vector — no per-event malloc/free.
+ * The binary heap holds only 24-byte {when, seq, slot} keys. Callbacks
+ * are InlineFunctions sized so every callback the simulator schedules
+ * (including the FlashDevice completion wrappers, which embed a nested
+ * device callback) fits inline; they live in a slab whose free slots
+ * are recycled, so a heap sift moves keys, never callbacks, and a
+ * dispatch costs no malloc/free.
  */
 class EventQueue
 {
@@ -35,7 +36,8 @@ class EventQueue
 
     using Callback = InlineFunction<void(), kInlineCallbackBytes>;
 
-    EventQueue() = default;
+    /** Reserves room for kInitialCapacity pending events. */
+    EventQueue();
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -63,7 +65,7 @@ class EventQueue
     /** Timestamp of the next event, or kTimeNever when empty. */
     SimTime nextEventTime() const
     {
-        return heap_.empty() ? kTimeNever : heap_.top().when;
+        return heap_.empty() ? kTimeNever : heap_.front().when;
     }
 
     /**
@@ -103,7 +105,7 @@ class EventQueue
     bool halted() const { return halted_; }
 
     /** Discard every pending event (volatile state lost at power-off). */
-    void clearPending() { heap_ = {}; }
+    void clearPending();
 
     /**
      * Hook invoked after every dispatched event (crash-by-event-count
@@ -115,17 +117,22 @@ class EventQueue
     }
 
   private:
-    struct Event
+    /** Pending events the constructor reserves room for; the slab grows
+     *  past it (amortized) only when more are in flight at once. */
+    static constexpr std::size_t kInitialCapacity = 512;
+
+    struct Key
     {
         SimTime when;
-        std::uint64_t seq;  // tie-break: FIFO within a timestamp
-        Callback cb;
+        std::uint64_t seq;   // tie-break: FIFO within a timestamp
+        std::uint32_t slot;  // index of the callback in slab_
     };
 
+    /** Heap order for std::push_heap/pop_heap: the earliest key on top. */
     struct Later
     {
         bool
-        operator()(const Event &a, const Event &b) const
+        operator()(const Key &a, const Key &b) const
         {
             if (a.when != b.when)
                 return a.when > b.when;
@@ -133,7 +140,9 @@ class EventQueue
         }
     };
 
-    std::priority_queue<Event, std::vector<Event>, Later> heap_;
+    std::vector<Key> heap_;
+    std::vector<Callback> slab_;
+    std::vector<std::uint32_t> free_slots_;
     SimTime now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t dispatched_ = 0;

@@ -1,11 +1,14 @@
 /** @file Unit tests for the discrete-event queue. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "src/sim/event_queue.h"
+#include "src/sim/rng.h"
 
 namespace fleetio {
 namespace {
@@ -159,6 +162,134 @@ TEST(EventQueue, NullCallbacksDispatchAsNoOps)
     eq.runAll();
     EXPECT_EQ(eq.now(), usec(3));
     EXPECT_EQ(eq.dispatched(), 1u);
+}
+
+/**
+ * A seeded random schedule whose dispatch order is checked against a
+ * std::priority_queue of {when, seq}. Times sit on a coarse grid, so
+ * many events tie, and some land before now() and clamp. Callbacks
+ * schedule 0-3 events each, so the pending set (and the callback slab)
+ * grows well past the queue's initial reservation from inside a
+ * dispatch; one callback clears the queue and reseeds it, another halts
+ * it. Captures carry a payload that is checked on dispatch, so a
+ * callback corrupted by being moved around the slab shows up here, and
+ * a reference into the slab held across its growth shows up under ASan.
+ */
+class EventQueueOracle : public ::testing::Test
+{
+  protected:
+    struct Expected
+    {
+        SimTime when;
+        std::uint64_t seq;
+    };
+
+    struct Later
+    {
+        bool
+        operator()(const Expected &a, const Expected &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    static constexpr std::uint64_t kBudget = 8000;  // events scheduled
+    static constexpr std::uint64_t kClearAt = 2500; // dispatch count
+    static constexpr std::uint64_t kHaltAt = 4000;
+    static constexpr std::uint64_t kReseed = 32;
+
+    SimTime
+    randomTime()
+    {
+        const SimTime now = eq_.now();
+        const std::uint64_t r = rng_.uniformInt(std::uint64_t(8));
+        if (r < 2)
+            return now - std::min<SimTime>(now, 10 * (r + 1));
+        return now + 10 * (r - 2);
+    }
+
+    void
+    schedule()
+    {
+        const SimTime when = randomTime();
+        const std::uint64_t seq = seq_++;
+        oracle_.push(Expected{std::max(when, eq_.now()), seq});
+        if (seq % 4 == 0) {
+            // Larger than the inline buffer: heap-boxed.
+            std::array<std::uint64_t, 16> big{};
+            big.fill(seq);
+            eq_.scheduleAt(when, [this, seq, big] {
+                fire(seq, big.front() + big.back() - seq);
+            });
+        } else {
+            std::array<std::uint64_t, 9> payload{};
+            payload.fill(seq);
+            eq_.scheduleAt(when, [this, seq, payload] {
+                fire(seq, payload.front() + payload.back() - seq);
+            });
+        }
+    }
+
+    void
+    fire(std::uint64_t seq, std::uint64_t payload)
+    {
+        ++fired_;
+        max_pending_ = std::max(max_pending_, eq_.pending());
+        EXPECT_EQ(payload, seq);
+        ASSERT_FALSE(oracle_.empty());
+        EXPECT_EQ(oracle_.top().seq, seq);
+        EXPECT_EQ(oracle_.top().when, eq_.now());
+        oracle_.pop();
+        if (fired_ == kClearAt) {
+            eq_.clearPending();
+            oracle_ = {};
+            for (std::uint64_t i = 0; i < kReseed; ++i)
+                schedule();
+        }
+        if (fired_ == kHaltAt)
+            eq_.halt();
+        const std::uint64_t n = rng_.uniformInt(std::uint64_t(4));
+        for (std::uint64_t i = 0; i < n && seq_ < kBudget; ++i)
+            schedule();
+    }
+
+    EventQueue eq_;
+    Rng rng_{20251017};
+    std::priority_queue<Expected, std::vector<Expected>, Later> oracle_;
+    std::uint64_t seq_ = 0;
+    std::uint64_t fired_ = 0;
+    std::size_t max_pending_ = 0;
+};
+
+TEST_F(EventQueueOracle, DispatchOrderMatchesPriorityQueue)
+{
+    for (int i = 0; i < 64; ++i)
+        schedule();
+    bool halted_once = false;
+    while (!eq_.empty()) {
+        eq_.runUntil(eq_.now() + 25);
+        if (eq_.halted()) {
+            // Halted: nothing dispatches and the clock stays put.
+            halted_once = true;
+            const SimTime t = eq_.now();
+            const std::uint64_t n = eq_.dispatched();
+            EXPECT_FALSE(eq_.step());
+            EXPECT_EQ(eq_.runUntil(t + 1000), 0u);
+            EXPECT_EQ(eq_.now(), t);
+            EXPECT_EQ(eq_.dispatched(), n);
+            eq_.resume();
+        }
+        ASSERT_EQ(eq_.pending(), oracle_.size());
+        if (!oracle_.empty()) {
+            EXPECT_EQ(eq_.nextEventTime(), oracle_.top().when);
+        }
+    }
+    EXPECT_TRUE(oracle_.empty());
+    EXPECT_TRUE(halted_once);
+    EXPECT_EQ(seq_, kBudget);
+    EXPECT_EQ(fired_, eq_.dispatched());
+    EXPECT_GT(fired_, kHaltAt);
+    EXPECT_GE(max_pending_, 1000u);
 }
 
 TEST(InlineFunction, ConvertingConstructorPreservesNull)

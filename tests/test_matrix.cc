@@ -1,7 +1,6 @@
 /** @file Unit tests for the RL linear-algebra helpers. */
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -141,32 +140,6 @@ TEST(VectorOps, AxpyAndDot)
     axpy(2.0, x, y);
     EXPECT_EQ(y, (Vector{12, 24, 36}));
     EXPECT_DOUBLE_EQ(dot(x, x), 14.0);
-}
-
-TEST(Softmax, SumsToOneAndOrdersCorrectly)
-{
-    const Vector p = softmax({1.0, 2.0, 3.0});
-    EXPECT_NEAR(p[0] + p[1] + p[2], 1.0, 1e-12);
-    EXPECT_LT(p[0], p[1]);
-    EXPECT_LT(p[1], p[2]);
-}
-
-TEST(Softmax, StableForHugeLogits)
-{
-    const Vector p = softmax({1000.0, 1000.0, -1000.0});
-    EXPECT_NEAR(p[0], 0.5, 1e-9);
-    EXPECT_NEAR(p[1], 0.5, 1e-9);
-    EXPECT_NEAR(p[2], 0.0, 1e-9);
-    EXPECT_FALSE(std::isnan(p[0]));
-}
-
-TEST(LogSoftmax, MatchesLogOfSoftmax)
-{
-    const Vector logits{0.5, -1.0, 2.0};
-    const Vector p = softmax(logits);
-    const Vector lp = logSoftmax(logits);
-    for (std::size_t i = 0; i < 3; ++i)
-        EXPECT_NEAR(lp[i], std::log(p[i]), 1e-12);
 }
 
 }  // namespace

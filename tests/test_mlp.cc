@@ -40,7 +40,8 @@ TEST(Linear, ForwardComputesAffineMap)
     b[0] = 0.1;
     b[1] = 0.2;
     b[2] = 0.3;
-    const Vector y = lin.forward({1.0, -1.0});
+    Vector y(3);
+    lin.forward(Vector{1.0, -1.0}, y);
     EXPECT_NEAR(y[0], 1 - 2 + 0.1, 1e-12);
     EXPECT_NEAR(y[1], 3 - 4 + 0.2, 1e-12);
     EXPECT_NEAR(y[2], 5 - 6 + 0.3, 1e-12);
@@ -55,7 +56,8 @@ TEST(Linear, BackwardMatchesNumericalGradient)
     const Vector target{0.5, -0.25, 1.0};
 
     auto loss = [&]() {
-        const Vector y = lin.forward(x);
+        Vector y(3);
+        lin.forward(x, y);
         double l = 0;
         for (std::size_t i = 0; i < y.size(); ++i)
             l += 0.5 * (y[i] - target[i]) * (y[i] - target[i]);
@@ -64,11 +66,12 @@ TEST(Linear, BackwardMatchesNumericalGradient)
 
     const Vector num = numericalGrad(ps, loss);
     ps.zeroGrads();
-    const Vector y = lin.forward(x);
+    Vector y(3);
+    lin.forward(x, y);
     Vector dy(y.size());
     for (std::size_t i = 0; i < y.size(); ++i)
         dy[i] = y[i] - target[i];
-    lin.backward(dy, x);
+    lin.backward(dy, x, {});
     for (std::size_t i = 0; i < ps.size(); ++i)
         EXPECT_NEAR(ps.rawGrads()[i], num[i], 1e-5) << "param " << i;
 }
@@ -79,9 +82,9 @@ TEST(Linear, BackwardReturnsInputGradient)
     Rng rng(3);
     Linear lin(ps, 3, 2, rng);
     const Vector x{0.1, 0.2, 0.3};
-    const Vector y = lin.forward(x);
     const Vector dy{1.0, -1.0};
-    const Vector dx = lin.backward(dy, x);
+    Vector dx(3, 99.0);  // overwritten, not accumulated into
+    lin.backward(dy, x, dx);
     // dx = W^T dy.
     const double *w = ps.values(0);
     for (std::size_t i = 0; i < 3; ++i) {
@@ -97,7 +100,7 @@ TEST(Mlp, OutputBoundedByTanh)
     Mlp mlp(ps, 5, {8, 8}, rng);
     EXPECT_EQ(mlp.inSize(), 5u);
     EXPECT_EQ(mlp.outSize(), 8u);
-    const Vector y = mlp.forward({10, -10, 5, -5, 0});
+    const Vector y = mlp.forward(Vector{10, -10, 5, -5, 0});
     for (double v : y) {
         EXPECT_LE(v, 1.0);
         EXPECT_GE(v, -1.0);
