@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/policies/adaptive.h"
 #include "src/policies/fleetio_policy.h"
@@ -112,6 +114,35 @@ TEST(SsdKeeper, DemandNetPredictsMonotonically)
     EXPECT_GT(high, 6.0);
     EXPECT_LT(low, 4.0);
     EXPECT_LT(net.finalLoss(), 1.0);
+}
+
+TEST(SsdKeeper, ConcurrentPredictionsMatchSerialOnes)
+{
+    // demandNet() is one static that parallel cells share, so a
+    // prediction must not write state that another thread reads.
+    const auto &net = SsdKeeperPolicy::demandNet();
+    constexpr int kThreads = 4;
+    constexpr int kCalls = 500;
+    auto predict = [&net](int k) {
+        return net.predict(2.0 * k, 700.0 - k, 4.0 + k % 60);
+    };
+    std::vector<double> serial(kCalls);
+    for (int k = 0; k < kCalls; ++k)
+        serial[k] = predict(k);
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < kCalls; ++i) {
+                const int k = (i + 97 * t) % kCalls;
+                mismatches[t] += predict(k) != serial[k];
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[t], 0) << "thread " << t;
 }
 
 TEST(SsdKeeper, ProfilesAndStaticallyRepartitions)
