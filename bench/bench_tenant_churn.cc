@@ -59,31 +59,6 @@ struct Outcome
     bool removed_quiesced = true;
 };
 
-/** Walk every surviving tenant's map: each mapped LPA must resolve to
- *  a valid, non-retired page whose reverse map points straight back. */
-bool
-verifyMappings(Testbed &tb)
-{
-    const auto &geo = tb.device().geometry();
-    for (auto *v : tb.vssds().active()) {
-        Ftl &ftl = v->ftl();
-        for (Lpa lpa = 0; lpa < ftl.logicalPages(); ++lpa) {
-            const Ppa ppa = ftl.lookup(lpa);
-            if (ppa == kNoPpa)
-                continue;
-            const FlashBlock &blk = tb.device().blockOf(ppa);
-            if (blk.state == BlockState::kRetired)
-                return false;
-            if (!blk.valid[geo.pageOf(ppa)])
-                return false;
-            const RmapEntry &r = tb.device().rmap(ppa);
-            if (r.data_vssd != v->id() || r.lpa != lpa)
-                return false;
-        }
-    }
-    return true;
-}
-
 ChurnEvent
 arrival(SimTime at, WorkloadKind kind, std::uint32_t channels,
         const SsdGeometry &geo, SimTime slo)

@@ -7,8 +7,7 @@ namespace fleetio {
 
 ActionMapper::ActionMapper(const FleetIoConfig &cfg)
     : harvest_levels_(cfg.harvest_bw_levels),
-      harvestable_levels_(cfg.harvestable_bw_levels),
-      tier_head_(cfg.qos_tier_head)
+      harvestable_levels_(cfg.harvestable_bw_levels)
 {
     assert(!harvest_levels_.empty());
     assert(!harvestable_levels_.empty());
@@ -17,19 +16,15 @@ ActionMapper::ActionMapper(const FleetIoConfig &cfg)
 rl::ActionSpec
 ActionMapper::spec() const
 {
-    rl::ActionSpec spec{{harvest_levels_.size(),
-                         harvestable_levels_.size(),
-                         std::size_t(kNumPriorities)}};
-    if (tier_head_)
-        // fleetio-analyze: allow(hot-alloc): spec() runs once per agent attach, not per decision
-        spec.head_sizes.push_back(kNumQosTiers);
-    return spec;
+    return rl::ActionSpec{{harvest_levels_.size(),
+                           harvestable_levels_.size(),
+                           std::size_t(kNumPriorities)}};
 }
 
 AgentAction
 ActionMapper::decode(const std::vector<std::size_t> &indices) const
 {
-    assert(indices.size() == (tier_head_ ? 4u : 3u));
+    assert(indices.size() == 3u);
     AgentAction a;
     a.harvest_bw_mbps =
         harvest_levels_[std::min(indices[0],
@@ -39,10 +34,6 @@ ActionMapper::decode(const std::vector<std::size_t> &indices) const
                                      harvestable_levels_.size() - 1)];
     a.priority = Priority(std::min<std::size_t>(indices[2],
                                                 kNumPriorities - 1));
-    if (tier_head_) {
-        a.tier = QosTier(std::min<std::size_t>(indices[3],
-                                               kNumQosTiers - 1));
-    }
     return a;
 }
 
@@ -65,13 +56,9 @@ ActionMapper::nearestLevel(const std::vector<double> &levels,
 std::vector<std::size_t>
 ActionMapper::encode(const AgentAction &action) const
 {
-    std::vector<std::size_t> out = {
-        nearestLevel(harvest_levels_, action.harvest_bw_mbps),
-        nearestLevel(harvestable_levels_, action.harvestable_bw_mbps),
-        std::size_t(action.priority)};
-    if (tier_head_)
-        out.push_back(std::size_t(action.tier));
-    return out;
+    return {nearestLevel(harvest_levels_, action.harvest_bw_mbps),
+            nearestLevel(harvestable_levels_, action.harvestable_bw_mbps),
+            std::size_t(action.priority)};
 }
 
 }  // namespace fleetio

@@ -2,9 +2,7 @@
  * @file
  * The FleetIO action space (paper Table 2): Harvest(gsb_bw),
  * Make_Harvestable(gsb_bw), Set_Priority(level) — realized as three
- * factored discrete heads over bandwidth levels / priority levels,
- * plus an optional fourth Set_Tier head (G-states, DESIGN.md §11)
- * gated by FleetIoConfig::qos_tier_head.
+ * factored discrete heads over bandwidth levels / priority levels.
  */
 #pragma once
 
@@ -14,7 +12,6 @@
 #include "src/core/config.h"
 #include "src/rl/policy_network.h"
 #include "src/sim/types.h"
-#include "src/virt/qos_tier.h"
 
 namespace fleetio {
 
@@ -24,7 +21,6 @@ struct AgentAction
     double harvest_bw_mbps = 0.0;        ///< Harvest(gsb_bw)
     double harvestable_bw_mbps = 0.0;    ///< Make_Harvestable(gsb_bw)
     Priority priority = Priority::kMedium;  ///< Set_Priority(level)
-    QosTier tier = QosTier::kG0;         ///< Set_Tier (optional head)
 };
 
 /** Maps between the policy's head indices and AgentAction values. */
@@ -42,16 +38,12 @@ class ActionMapper
     /** Encode an action into head indices (nearest levels). */
     std::vector<std::size_t> encode(const AgentAction &action) const;
 
-    /** Is the Set_Tier head enabled (4 heads instead of 3)? */
-    bool hasTierHead() const { return tier_head_; }
-
   private:
     std::size_t nearestLevel(const std::vector<double> &levels,
                              double value) const;
 
     std::vector<double> harvest_levels_;
     std::vector<double> harvestable_levels_;
-    bool tier_head_ = false;
 };
 
 }  // namespace fleetio

@@ -68,8 +68,6 @@ FleetIoConfig::validate() const
         return "train_interval_windows must be at least 1";
     if (teacher_windows < 0)
         return "teacher_windows must be non-negative";
-    if (late_join_teacher_windows < -1)
-        return "late_join_teacher_windows must be -1 or non-negative";
     for (std::size_t h : hidden_sizes) {
         if (h == 0)
             return "hidden_sizes entries must be positive";

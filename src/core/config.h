@@ -100,22 +100,6 @@ struct FleetIoConfig
      */
     int teacher_windows = 0;
 
-    /**
-     * Expose the G-state (QoS tier, DESIGN.md §11) as a fourth action
-     * head. Off by default: enabling it changes the policy-network
-     * shape (and hence the RNG stream), so static experiments stay
-     * byte-identical unless a run opts in.
-     */
-    bool qos_tier_head = false;
-
-    /**
-     * Teacher-bootstrap length, in decision windows, for agents that
-     * join mid-run (elastic tenancy hot-add). -1 means reuse
-     * teacher_windows. A shorter late-join phase lets an arriving
-     * tenant hand control to PPO sooner than a cold-start fleet would.
-     */
-    int late_join_teacher_windows = -1;
-
     /** Hidden layer sizes (Table 3: [50, 50]). */
     std::vector<std::size_t> hidden_sizes = {50, 50};
 

@@ -83,11 +83,7 @@ FleetIoController::addVssd(Vssd &vssd, double alpha)
                                              seed_counter_);
     seed_counter_ = seed_counter_ * 6364136223846793005ull + 1442695040888963407ull;
     m.agent->setAlpha(alpha);
-    const int bootstrap =
-        windows_ > 0 && cfg_.late_join_teacher_windows >= 0
-            ? cfg_.late_join_teacher_windows
-            : std::max(cfg_.teacher_windows, 0);
-    m.teacher_until = windows_ + std::uint64_t(bootstrap);
+    m.teacher_until = windows_ + std::uint64_t(cfg_.teacher_windows);
     attachStore(m);
     // fleetio-analyze: allow(hot-alloc): tenant add is a rare control-plane reconfiguration
     managed_.push_back(std::move(m));
@@ -257,12 +253,6 @@ FleetIoController::applyAction(Managed &m, const AgentAction &action)
 {
     // Set_Priority applies immediately on the vSSD's I/O (§3.3.2).
     m.vssd->setPriority(action.priority);
-
-    // Set_Tier (optional fourth head): the agent may volunteer a
-    // degraded G-state; the elastic manager's floor still wins
-    // (Vssd::effectiveTier takes the worse of the two).
-    if (cfg_.qos_tier_head)
-        m.vssd->setTier(action.tier);
 
     // Resource actions go through batched admission control.
     if (action.harvestable_bw_mbps > 0 ||

@@ -55,8 +55,8 @@ class FleetIoController
      * Register a vSSD under FleetIO management, deploying a fresh agent
      * with reward coefficient @p alpha. May be called mid-run (elastic
      * hot-add): the new agent then bootstraps from the teacher policy
-     * for late_join_teacher_windows (DESIGN.md §11) before PPO takes
-     * over, exactly like a cold-start fleet does for teacher_windows.
+     * for teacher_windows (DESIGN.md §11) before PPO takes over,
+     * exactly like a cold-start fleet does.
      */
     FleetIoAgent &addVssd(Vssd &vssd, double alpha);
 

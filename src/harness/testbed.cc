@@ -210,7 +210,6 @@ Testbed::beginMeasurement()
 {
     for (auto *v : vssds_.active()) {
         v->latency().reset();
-        v->latency().setSlo(v->config().slo);
         v->bandwidth().reset();
         v->queue().rollWindow();
     }

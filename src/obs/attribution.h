@@ -15,10 +15,9 @@
  * inflicted it — that is the `blame[victim][culprit]` matrix.
  *
  * Everything here follows the obs-layer byte-identity contract: with
- * no AttributionHub installed (or with FLEETIO_OBS_NO_ATTRIBUTION
- * compiled in) the instrumentation macros evaluate nothing, construct
- * nothing, and the experiment output is byte-identical to a build
- * without this file.
+ * no AttributionHub installed the instrumentation macros evaluate
+ * nothing, construct nothing, and the experiment output is
+ * byte-identical to a build without this file.
  */
 #pragma once
 
@@ -353,7 +352,7 @@ class FLEETIO_THREAD_CONFINED AttributionHub
 /**
  * RAII arm scope: device issues inside the scope are attributed to
  * @p tenant with occupancy kind @p kind. Null hub = no-op. Use via
- * FLEETIO_ATTR_SCOPE so compile-out builds drop it entirely.
+ * FLEETIO_ATTR_SCOPE.
  */
 class AttributionScope
 {
@@ -381,16 +380,8 @@ class AttributionScope
 /**
  * Null-guarded attribution emit, mirroring FLEETIO_TRACE_EVENT: the
  * hub expression is evaluated once; the emit call (and its argument
- * expressions) only run when a hub is installed. Compiled out entirely
- * under FLEETIO_OBS_NO_ATTRIBUTION.
+ * expressions) only run when a hub is installed.
  */
-#if defined(FLEETIO_OBS_NO_ATTRIBUTION)
-
-#define FLEETIO_ATTR_EVENT(hub_expr, call) ((void)0)
-#define FLEETIO_ATTR_SCOPE(hub_expr, tenant, kind) ((void)0)
-
-#else
-
 #define FLEETIO_ATTR_EVENT(hub_expr, call)                                \
     do {                                                                  \
         ::fleetio::obs::AttributionHub *fio_attr__ = (hub_expr);          \
@@ -404,5 +395,3 @@ class AttributionScope
     {                                                                     \
         (hub_expr), (tenant), (kind)                                      \
     }
-
-#endif

@@ -24,13 +24,13 @@ MetricsRegistry::gauge(const std::string &name)
     return *slot;
 }
 
-WindowedHistogram &
-MetricsRegistry::histogram(const std::string &name, int sub_bits)
+Histogram &
+MetricsRegistry::histogram(const std::string &name)
 {
     auto &slot = hists_[name];
     if (!slot)
         // fleetio-analyze: allow(hot-alloc): interned once per metric name; lookups then allocate nothing
-        slot = std::make_unique<WindowedHistogram>(sub_bits);
+        slot = std::make_unique<Histogram>();
     return *slot;
 }
 
@@ -46,8 +46,7 @@ MetricsRegistry::markBaseline(SimTime now)
     }
     for (auto &[name, h] : hists_) {
         (void)name;
-        h->window_.reset();
-        h->lifetime_.reset();
+        h->reset();
     }
 }
 
@@ -76,29 +75,21 @@ MetricsRegistry::snapshotWindow(SimTime now)
         snap.samples.push_back(std::move(s));
     }
     for (auto &[name, h] : hists_) {
-        const Histogram win = h->window_.snapshotAndReset();
-        h->lifetime_.merge(win);
         MetricSample s;
         s.metric = name;
         s.kind = 'h';
-        s.count = win.count();
-        s.mean = win.mean();
-        s.p50 = win.quantile(0.50);
-        s.p95 = win.quantile(0.95);
-        s.p99 = win.quantile(0.99);
-        s.max = win.max();
+        s.count = h->count();
+        s.mean = h->mean();
+        s.p50 = h->quantile(0.50);
+        s.p95 = h->quantile(0.95);
+        s.p99 = h->quantile(0.99);
+        s.max = h->max();
+        h->reset();
         snap.samples.push_back(std::move(s));
     }
     window_start_ = now;
     // fleetio-analyze: allow(hot-alloc): one snapshot per decision window, amortized doubling
     windows_.push_back(std::move(snap));
-}
-
-const Histogram *
-MetricsRegistry::lifetimeHistogram(const std::string &name) const
-{
-    const auto it = hists_.find(name);
-    return it != hists_.end() ? &it->second->lifetime() : nullptr;
 }
 
 std::uint64_t

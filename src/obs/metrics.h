@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-window metrics pipeline (DESIGN.md §9): a registry of named
- * counters / gauges / windowed histograms snapshotted once per decision
+ * counters / gauges / histograms snapshotted once per decision
  * window into a per-tenant time-series, exported as CSV and JSON so
  * benches can plot util/P99/harvested-BW *over time* instead of run-end
  * means only.
@@ -58,31 +58,6 @@ class Gauge
     double value_ = 0.0;
 };
 
-/**
- * Histogram with a per-window lane and a lifetime lane: record() feeds
- * the window; each registry snapshot flushes the window into the
- * lifetime via Histogram::snapshotAndReset() + merge, so per-window
- * percentiles never cost the lifetime tail.
- */
-class WindowedHistogram
-{
-  public:
-    explicit WindowedHistogram(int sub_bits = 6)
-        : window_(sub_bits), lifetime_(sub_bits)
-    {
-    }
-
-    void record(std::uint64_t v) { window_.record(v); }
-
-    const Histogram &window() const { return window_; }
-    const Histogram &lifetime() const { return lifetime_; }
-
-  private:
-    friend class MetricsRegistry;
-    Histogram window_;
-    Histogram lifetime_;
-};
-
 /** One metric's value within one window snapshot. */
 struct MetricSample
 {
@@ -114,14 +89,13 @@ class MetricsRegistry
   public:
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    WindowedHistogram &histogram(const std::string &name,
-                                 int sub_bits = 6);
+    /** A histogram of the current window; each snapshot resets it. */
+    Histogram &histogram(const std::string &name);
 
     /**
      * Start the measured region at sim time @p now: drop any snapshots
-     * taken so far, mark every counter's baseline, and clear histogram
-     * lanes so warm-up traffic is excluded from the time-series and
-     * from lifetime aggregates.
+     * taken so far, mark every counter's baseline, and clear every
+     * histogram so warm-up traffic is excluded from the time-series.
      */
     void markBaseline(SimTime now);
 
@@ -132,9 +106,6 @@ class MetricsRegistry
     {
         return windows_;
     }
-
-    /** Lifetime lane of a histogram, or nullptr when never created. */
-    const Histogram *lifetimeHistogram(const std::string &name) const;
 
     /** A counter's growth since baseline, 0 when never created. */
     std::uint64_t counterSinceBaseline(const std::string &name) const;
@@ -154,7 +125,7 @@ class MetricsRegistry
     // deterministic and independent of registration order.
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<WindowedHistogram>> hists_;
+    std::map<std::string, std::unique_ptr<Histogram>> hists_;
     std::vector<WindowSnapshot> windows_;
     SimTime window_start_ = 0;
 };

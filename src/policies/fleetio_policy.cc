@@ -130,8 +130,7 @@ FleetIoPolicy::setup(Testbed &tb,
         // FleetIoController::removeVssd, G-state / retirement
         // permission checks guard the action batch, and admitted
         // arrivals get an agent bootstrapped mid-run from the teacher
-        // (late-join windows; see FleetIoConfig::
-        // late_join_teacher_windows).
+        // (FleetIoConfig::teacher_windows).
         tb.elastic()->attachController(controller_.get());
         const double unified = cfg.unified_alpha;
         tb.setOnTenantAdded([this, &tb, unified](Vssd &v) {

@@ -10,8 +10,8 @@
 #include <vector>
 
 // fleetio-lint: allow(layering): attribution instrumentation is
-// deliberately cross-layer — a null-guarded pointer + macros that
-// compile out (DESIGN.md §13).
+// deliberately cross-layer — a null-guarded pointer + macros
+// (DESIGN.md §13).
 #include "src/obs/attribution.h"
 // fleetio-lint: allow(layering): trace instrumentation, same contract
 // (DESIGN.md §9).

@@ -44,21 +44,11 @@ Histogram::bucketValue(std::size_t index) const
 void
 Histogram::record(std::uint64_t value)
 {
-    record(value, 1);
-}
-
-void
-Histogram::record(std::uint64_t value, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    buckets_[bucketIndex(value)] += n;
-    if (count_ == 0 || value < min_)
-        min_ = value;
+    ++buckets_[bucketIndex(value)];
     if (value > max_)
         max_ = value;
-    count_ += n;
-    sum_ += value * n;
+    ++count_;
+    sum_ += value;
 }
 
 std::uint64_t
@@ -85,37 +75,7 @@ void
 Histogram::reset()
 {
     std::fill(buckets_.begin(), buckets_.end(), 0);
-    count_ = sum_ = max_ = min_ = 0;
-}
-
-Histogram
-Histogram::snapshotAndReset()
-{
-    Histogram out(sub_bits_);
-    // The fresh histogram's zeroed bucket vector becomes ours; no
-    // reallocation on either side.
-    out.buckets_.swap(buckets_);
-    out.count_ = count_;
-    out.sum_ = sum_;
-    out.max_ = max_;
-    out.min_ = min_;
-    count_ = sum_ = max_ = min_ = 0;
-    return out;
-}
-
-void
-Histogram::merge(const Histogram &other)
-{
-    assert(sub_bits_ == other.sub_bits_);
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    if (other.count_) {
-        if (count_ == 0 || other.min_ < min_)
-            min_ = other.min_;
-        max_ = std::max(max_, other.max_);
-        count_ += other.count_;
-        sum_ += other.sum_;
-    }
+    count_ = sum_ = max_ = 0;
 }
 
 }  // namespace fleetio

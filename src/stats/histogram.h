@@ -1,7 +1,7 @@
 /**
  * @file
- * Log-bucketed latency histogram (HDR-histogram style) for cheap lifetime
- * percentile queries without retaining every sample.
+ * Log-bucketed latency histogram (HDR-histogram style) for cheap
+ * per-window percentile queries without retaining every sample.
  */
 #pragma once
 
@@ -25,23 +25,14 @@ class Histogram
     /** Record one observation of @p value (0 is clamped to 1). */
     void record(std::uint64_t value);
 
-    /** Record @p count observations of @p value. */
-    void record(std::uint64_t value, std::uint64_t count);
-
     /** Number of recorded observations. */
     std::uint64_t count() const { return count_; }
-
-    /** Sum of recorded values (for means). */
-    std::uint64_t sum() const { return sum_; }
 
     /** Arithmetic mean, or 0 when empty. */
     double mean() const { return count_ ? double(sum_) / double(count_) : 0.0; }
 
     /** Largest recorded value (bucket upper bound). */
     std::uint64_t max() const { return max_; }
-
-    /** Smallest recorded value. */
-    std::uint64_t min() const { return count_ ? min_ : 0; }
 
     /**
      * Value at quantile @p q in [0, 1]. Returns a representative value of
@@ -51,17 +42,6 @@ class Histogram
 
     /** Forget all observations. */
     void reset();
-
-    /** Merge another histogram (must share sub_bits). */
-    void merge(const Histogram &other);
-
-    /**
-     * Atomically take the current contents and reset this histogram to
-     * empty. The returned snapshot can be merge()d into a lifetime
-     * histogram, so per-window flushes never lose lifetime percentiles
-     * (the per-window metrics pipeline relies on this).
-     */
-    Histogram snapshotAndReset();
 
   private:
     std::size_t bucketIndex(std::uint64_t value) const;
@@ -73,7 +53,6 @@ class Histogram
     std::uint64_t count_ = 0;
     std::uint64_t sum_ = 0;
     std::uint64_t max_ = 0;
-    std::uint64_t min_ = 0;
 };
 
 }  // namespace fleetio

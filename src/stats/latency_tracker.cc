@@ -7,77 +7,47 @@ namespace fleetio {
 
 LatencyTracker::LatencyTracker(SimTime slo) : slo_(slo)
 {
-    // record() sits on the per-request completion path: pre-size the
-    // window so steady-state appends never reallocate, and give the
-    // lifetime sample vector a large first block so rollWindow()'s
-    // folding amortizes its growth across many windows.
-    window_.reserve(4096);
+    // record() sits on the per-request completion path: give the
+    // lifetime sample vector a large first block so its growth is
+    // amortized across many windows.
     all_.reserve(1u << 16);
 }
 
 void
 LatencyTracker::record(SimTime latency)
 {
-    window_.push_back(latency);
-    if (latency > slo_)
+    ++window_count_;
+    window_sum_ns_ += double(latency);
+    all_.push_back(latency);
+    all_sorted_ = false;
+    if (latency > slo_) {
         ++window_violations_;
+        ++total_violations_;
+    }
 }
 
 double
 LatencyTracker::windowMeanNs() const
 {
-    if (window_.empty())
+    if (window_count_ == 0)
         return 0.0;
-    double s = 0.0;
-    for (SimTime t : window_)
-        s += double(t);
-    return s / double(window_.size());
-}
-
-SimTime
-LatencyTracker::windowQuantile(double q) const
-{
-    if (window_.empty())
-        return 0;
-    q = std::clamp(q, 0.0, 1.0);
-    std::vector<SimTime> copy = window_;
-    const std::size_t rank =
-        q <= 0.0 ? 0
-                 : std::min(copy.size() - 1,
-                            std::size_t(std::ceil(q * double(copy.size()))) - 1);
-    std::nth_element(copy.begin(), copy.begin() + rank, copy.end());
-    return copy[rank];
+    return window_sum_ns_ / double(window_count_);
 }
 
 double
 LatencyTracker::windowSloViolation() const
 {
-    if (window_.empty())
+    if (window_count_ == 0)
         return 0.0;
-    return double(window_violations_) / double(window_.size());
+    return double(window_violations_) / double(window_count_);
 }
 
 void
 LatencyTracker::rollWindow()
 {
-    for (SimTime t : window_) {
-        hist_.record(t);
-        total_sum_ns_ += double(t);
-        all_.push_back(t);
-    }
-    all_sorted_ = false;
-    total_count_ += window_.size();
-    total_violations_ += window_violations_;
-    window_.clear();
+    window_count_ = 0;
+    window_sum_ns_ = 0.0;
     window_violations_ = 0;
-}
-
-double
-LatencyTracker::meanNs() const
-{
-    if (total_count_ == 0)
-        return 0.0;
-    return total_sum_ns_ / double(total_count_);
 }
 
 SimTime
@@ -100,22 +70,18 @@ LatencyTracker::quantile(double q) const
 double
 LatencyTracker::sloViolation() const
 {
-    if (total_count_ == 0)
+    if (all_.empty())
         return 0.0;
-    return double(total_violations_) / double(total_count_);
+    return double(total_violations_) / double(all_.size());
 }
 
 void
 LatencyTracker::reset()
 {
-    window_.clear();
-    window_violations_ = 0;
+    rollWindow();
     all_.clear();
     all_sorted_ = false;
-    total_count_ = 0;
     total_violations_ = 0;
-    total_sum_ns_ = 0.0;
-    hist_.reset();
 }
 
 }  // namespace fleetio

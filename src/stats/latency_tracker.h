@@ -1,7 +1,7 @@
 /**
  * @file
- * Per-vSSD latency accounting: windowed exact percentiles + SLO-violation
- * tracking, plus a lifetime histogram for end-of-run reporting.
+ * Per-vSSD latency accounting: decision-window counters for the RL
+ * state plus every sample of the run for exact end-of-run percentiles.
  */
 #pragma once
 
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/sim/types.h"
-#include "src/stats/histogram.h"
 
 namespace fleetio {
 
@@ -18,9 +17,9 @@ namespace fleetio {
  *
  * The tracker serves two consumers: the RL state extractor, which needs
  * Avg_Lat and SLO_Vio over the current decision window, and the harness,
- * which needs exact lifetime tail percentiles (P95/P99/P99.9). Window
- * samples are kept exactly; lifetime percentiles use both the retained
- * sample vector (exact) and a histogram (cheap merging).
+ * which needs exact lifetime tail percentiles (P95/P99/P99.9). The window
+ * is three counters; every sample goes straight into the lifetime vector,
+ * so each latency is stored once.
  */
 class LatencyTracker
 {
@@ -28,33 +27,25 @@ class LatencyTracker
     /** @param slo latency SLO threshold; requests above it violate. */
     explicit LatencyTracker(SimTime slo = kTimeNever);
 
-    /** Set/replace the SLO threshold (affects future records only). */
-    void setSlo(SimTime slo) { slo_ = slo; }
     SimTime slo() const { return slo_; }
 
     /** Record a completed request latency. */
     void record(SimTime latency);
 
     /** Number of requests in the current window. */
-    std::uint64_t windowCount() const { return window_.size(); }
+    std::uint64_t windowCount() const { return window_count_; }
 
     /** Mean latency of the current window (ns); 0 when empty. */
     double windowMeanNs() const;
 
-    /** Exact quantile of the current window (ns); 0 when empty. */
-    SimTime windowQuantile(double q) const;
-
     /** Fraction of window requests violating the SLO, in [0,1]. */
     double windowSloViolation() const;
 
-    /** Close the window: fold into lifetime stats and clear it. */
+    /** Close the window: zero its counters. */
     void rollWindow();
 
-    /** Lifetime request count. */
-    std::uint64_t totalCount() const { return total_count_; }
-
-    /** Lifetime mean latency (ns). */
-    double meanNs() const;
+    /** Lifetime request count, the open window included. */
+    std::uint64_t totalCount() const { return all_.size(); }
 
     /** Exact lifetime quantile over every retained sample (ns). */
     SimTime quantile(double q) const;
@@ -62,24 +53,21 @@ class LatencyTracker
     /** Lifetime SLO violation fraction in [0,1]. */
     double sloViolation() const;
 
-    /** Lifetime histogram (approximate, for merging across vSSDs). */
-    const Histogram &histogram() const { return hist_; }
-
     /** Drop all state (lifetime + window). */
     void reset();
 
   private:
     SimTime slo_;
-    std::vector<SimTime> window_;
+    std::uint64_t window_count_ = 0;
+    // Summed in record order from 0.0, so the mean is the same double
+    // a pass over the window's samples would give.
+    double window_sum_ns_ = 0.0;
     std::uint64_t window_violations_ = 0;
 
     // Lifetime: exact samples retained for precise tails in experiments.
     mutable std::vector<SimTime> all_;
     mutable bool all_sorted_ = false;
-    std::uint64_t total_count_ = 0;
     std::uint64_t total_violations_ = 0;
-    double total_sum_ns_ = 0.0;
-    Histogram hist_;
 };
 
 }  // namespace fleetio

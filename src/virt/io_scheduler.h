@@ -169,7 +169,7 @@ class IoScheduler
     /** Cached per-tenant metric handles (built lazily per vSSD). */
     struct TenantMetrics
     {
-        obs::WindowedHistogram *latency = nullptr;
+        Histogram *latency = nullptr;
         obs::Counter *read_bytes = nullptr;
         obs::Counter *write_bytes = nullptr;
         obs::Counter *requests = nullptr;

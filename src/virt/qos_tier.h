@@ -62,13 +62,6 @@ clampPriority(Priority p, QosTier t)
     return std::uint8_t(p) > std::uint8_t(ceil) ? ceil : p;
 }
 
-/** The worse (more degraded) of two tiers. */
-inline constexpr QosTier
-worseTier(QosTier a, QosTier b)
-{
-    return std::uint8_t(a) >= std::uint8_t(b) ? a : b;
-}
-
 inline constexpr const char *
 qosTierName(QosTier t)
 {

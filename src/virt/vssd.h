@@ -63,17 +63,14 @@ class Vssd
     void setPriority(Priority p) { priority_ = p; }
 
     /**
-     * G-state (DESIGN.md §11). `tier()` is what the controller (or the
-     * RL tier head) requested; `tierFloor()` is the degradation floor
-     * imposed by the elastic manager under pressure. The scheduler
-     * honours the worse of the two. Both default to G0, where the
-     * clamp is the identity — static runs are unaffected.
+     * G-state (DESIGN.md §11): the degradation floor the elastic
+     * manager imposes under pressure, which the scheduler honours. It
+     * defaults to G0, where the clamp is the identity — static runs
+     * are unaffected.
      */
-    QosTier tier() const { return tier_; }
-    void setTier(QosTier t) { tier_ = t; }
     QosTier tierFloor() const { return tier_floor_; }
     void setTierFloor(QosTier t) { tier_floor_ = t; }
-    QosTier effectiveTier() const { return worseTier(tier_, tier_floor_); }
+    QosTier effectiveTier() const { return tier_floor_; }
 
     /** Effective priority after the G-state ceiling. */
     Priority effectivePriority() const
@@ -86,7 +83,6 @@ class Vssd
     void setRetiring(bool on) { retiring_ = on; }
 
     SimTime slo() const { return latency_.slo(); }
-    void setSlo(SimTime slo) { latency_.setSlo(slo); }
 
     /** Roll every per-window statistic at a decision boundary. */
     void rollWindow()
@@ -113,7 +109,6 @@ class Vssd
     BandwidthMeter bandwidth_;
     VirtualQueue queue_;
     Priority priority_ = Priority::kMedium;
-    QosTier tier_ = QosTier::kG0;
     QosTier tier_floor_ = QosTier::kG0;
     bool retiring_ = false;
 };

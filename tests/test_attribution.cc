@@ -445,7 +445,6 @@ TEST(Attribution, MacrosCompileToNothingWithoutAHub)
     {
         FLEETIO_ATTR_SCOPE(hub, 0, SegKind::kGcOp);
     }
-    (void)hub;  // unused when FLEETIO_OBS_ATTRIBUTION=OFF
     SUCCEED();
 }
 

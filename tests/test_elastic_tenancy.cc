@@ -285,19 +285,16 @@ TEST(ElasticTenancy, QosTierClampIsIdentityAtG0AndFloorsCompose)
               Priority::kLow);
     EXPECT_EQ(clampPriority(Priority::kHigh, QosTier::kG3),
               Priority::kLow);
-    EXPECT_EQ(worseTier(QosTier::kG1, QosTier::kG3), QosTier::kG3);
-    EXPECT_EQ(worseTier(QosTier::kG2, QosTier::kG0), QosTier::kG2);
 
     TestbedOptions opts = baseOptions();
     Testbed tb(opts);
     addPair(tb);
     Vssd &v = *tb.vssds().get(0);
     EXPECT_EQ(v.effectiveTier(), QosTier::kG0);
-    v.setTier(QosTier::kG1);
     v.setTierFloor(QosTier::kG2);
-    EXPECT_EQ(v.effectiveTier(), QosTier::kG2);  // floor dominates
-    v.setTier(QosTier::kG3);
-    EXPECT_EQ(v.effectiveTier(), QosTier::kG3);  // action dominates
+    EXPECT_EQ(v.effectiveTier(), QosTier::kG2);
+    v.setTierFloor(QosTier::kG3);
+    EXPECT_EQ(v.effectiveTier(), QosTier::kG3);
     v.setPriority(Priority::kHigh);
     EXPECT_EQ(v.effectivePriority(), Priority::kLow);
 }

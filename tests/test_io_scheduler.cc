@@ -80,7 +80,7 @@ TEST_F(IoSchedulerTest, ReadOfUnwrittenPageCompletesQuickly)
     eq_.runUntil(msec(1));
     EXPECT_EQ(completed_, 1);
     // Zero-fill read costs one chip-read latency, no bus time.
-    EXPECT_EQ(a_->latency().windowQuantile(1.0), geo_.read_latency);
+    EXPECT_EQ(a_->latency().quantile(1.0), geo_.read_latency);
 }
 
 TEST_F(IoSchedulerTest, LatencyMeasuredAtLastPage)
@@ -88,7 +88,7 @@ TEST_F(IoSchedulerTest, LatencyMeasuredAtLastPage)
     sched_.submit(makeReq(0, IoType::kWrite, 0, 8));
     eq_.runUntil(sec(1));
     // 8-page write costs at least one transfer+program.
-    EXPECT_GE(a_->latency().windowQuantile(1.0),
+    EXPECT_GE(a_->latency().quantile(1.0),
               geo_.pageTransferTime() + geo_.program_latency);
 }
 
@@ -100,7 +100,7 @@ TEST_F(IoSchedulerTest, PriorityJumpsTheSharedQueue)
     // One high-priority read from vSSD 1 (must first write data).
     sched_.submit(makeReq(1, IoType::kWrite, 0, 1));
     eq_.runUntil(sec(5));
-    b_->rollWindow();  // phase-1 latency must not pollute the check
+    b_->latency().reset();  // phase-1 latency must not pollute the check
     const int base = completed_;
     for (int i = 0; i < 30; ++i)
         sched_.submit(makeReq(0, IoType::kWrite, Lpa(i) * 8, 8));
@@ -109,7 +109,7 @@ TEST_F(IoSchedulerTest, PriorityJumpsTheSharedQueue)
     // The high-priority read completes before the bulk writes drain.
     eq_.runUntil(eq_.now() + msec(20));
     EXPECT_GE(completed_, base + 1);
-    const SimTime hp_lat = b_->latency().windowQuantile(1.0);
+    const SimTime hp_lat = b_->latency().quantile(1.0);
     EXPECT_LT(hp_lat, msec(10));
 }
 

@@ -56,27 +56,27 @@ TEST(MetricsRegistry, ObserveMirrorsACumulativeSource)
 TEST(MetricsRegistry, BaselineExcludesWarmupFromHistograms)
 {
     MetricsRegistry reg;
-    obs::WindowedHistogram &h = reg.histogram("t0.latency_ns");
+    Histogram &h = reg.histogram("t0.latency_ns");
     for (int i = 0; i < 100; ++i)
         h.record(1000000);  // warm-up junk
-    reg.markBaseline(0);
+    reg.snapshotWindow(50);
+    h.record(3);
+    reg.markBaseline(100);
     h.record(500);
     h.record(1500);
-    reg.snapshotWindow(100);
+    reg.snapshotWindow(200);
 
-    const Histogram *life = reg.lifetimeHistogram("t0.latency_ns");
-    ASSERT_NE(life, nullptr);
-    EXPECT_EQ(life->count(), 2u);
-    EXPECT_EQ(life->sum(), 2000u);
-    // Warm-up snapshots are dropped too.
+    // Warm-up snapshots and samples are dropped.
     ASSERT_EQ(reg.windows().size(), 1u);
     EXPECT_EQ(reg.windows()[0].samples[0].count, 2u);
+    EXPECT_DOUBLE_EQ(reg.windows()[0].samples[0].mean, 1000.0);
+    EXPECT_EQ(reg.windows()[0].samples[0].max, 1500u);
 }
 
 TEST(MetricsRegistry, WindowHistogramPercentilesAreWindowLocal)
 {
     MetricsRegistry reg;
-    obs::WindowedHistogram &h = reg.histogram("lat");
+    Histogram &h = reg.histogram("lat");
     reg.markBaseline(0);
     for (int i = 0; i < 100; ++i)
         h.record(100);
@@ -89,8 +89,9 @@ TEST(MetricsRegistry, WindowHistogramPercentilesAreWindowLocal)
     EXPECT_NEAR(double(reg.windows()[0].samples[0].p99), 100.0, 5.0);
     EXPECT_NEAR(double(reg.windows()[1].samples[0].p99), 100000.0,
                 100000.0 * 0.05);
-    // The lifetime lane folds both.
-    EXPECT_EQ(reg.lifetimeHistogram("lat")->count(), 200u);
+    EXPECT_EQ(reg.windows()[1].samples[0].count, 100u);
+    // Each snapshot leaves the histogram empty for the next window.
+    EXPECT_EQ(h.count(), 0u);
 }
 
 TEST(MetricsRegistry, CsvAndJsonAreDeterministic)
@@ -212,11 +213,17 @@ TEST(MetricsPipeline, AggregatesMatchTenantStatistics)
                       reg->counterSinceBaseline(p + "bytes_written"),
                   v->bandwidth().totalBytes())
             << "tenant " << int(v->id());
-        // Latency distribution: every completion is in the lifetime
-        // histogram.
-        const Histogram *h = reg->lifetimeHistogram(p + "latency_ns");
-        ASSERT_NE(h, nullptr);
-        EXPECT_EQ(h->count(), v->latency().totalCount());
+        // Latency distribution: every completion is in exactly one
+        // window's histogram.
+        std::uint64_t latency_samples = 0;
+        for (const WindowSnapshot &w : reg->windows()) {
+            for (const obs::MetricSample &s : w.samples) {
+                if (s.metric == p + "latency_ns")
+                    latency_samples += s.count;
+            }
+        }
+        EXPECT_EQ(latency_samples, v->latency().totalCount())
+            << "tenant " << int(v->id());
     }
     // Windows cover the measured region: 500 ms / 50 ms = 10 samples
     // (+1 trailing partial at most).

@@ -406,8 +406,7 @@ checkTraceMacro(Ctx &ctx, FileInfo &f)
                            std::string("raw TraceRecorder::") + m +
                                " outside src/obs: wrap in "
                                "FLEETIO_TRACE_EVENT(tracer, " + m +
-                               "(...)) so it null-guards and "
-                               "compiles out");
+                               "(...)) so it null-guards");
             }
         }
     }
@@ -688,7 +687,7 @@ checkAttrMacro(Ctx &ctx, FileInfo &f)
                                " outside src/obs: wrap in "
                                "FLEETIO_ATTR_EVENT(hub, " + m +
                                "(...)) or FLEETIO_ATTR_SCOPE so it "
-                               "null-guards and compiles out");
+                               "null-guards");
             }
         }
     }
