@@ -18,7 +18,6 @@ AdmissionControl::submit(PendingAction action)
         ++rejected_;
         return;
     }
-    // fleetio-analyze: allow(hot-alloc): per-decision-window batching, off the per-page I/O path
     batch_.push_back(action);
 }
 

@@ -58,7 +58,6 @@ FleetIoAgent::imitate(const rl::Vector &state,
     constexpr int kBcUpdatesPerSample = 2;
 
     if (bc_batch_.size() < kBcCapacity) {
-        // fleetio-analyze: allow(hot-alloc): BC batch grows only during pre-train imitation windows
         bc_batch_.push_back(BcSample{state, actions, value_target});
     } else {
         bc_batch_[bc_write_++ % kBcCapacity] =
@@ -70,7 +69,6 @@ FleetIoAgent::imitate(const rl::Vector &state,
     if (!bc_opt_) {
         rl::Adam::Config acfg = cfg_.ppo.adam;
         acfg.lr = 3e-3;  // supervised cloning tolerates a larger step
-        // fleetio-analyze: allow(hot-alloc): BC optimizer built once, lazily, at first imitation
         bc_opt_ = std::make_unique<rl::Adam>(net_.params(), acfg);
     }
     const double inv_b = 1.0 / double(cfg_.ppo.minibatch);

@@ -21,7 +21,6 @@ AgentSupervisor::attach(FleetIoAgent &agent, Vssd &vssd)
     // target and the first last-good snapshot.
     e.initial = agent.snapshot();
     e.last_good = e.initial;
-    // fleetio-analyze: allow(hot-alloc): attach is a tenant-arrival control-plane event
     entries_.push_back(std::move(e));
 }
 

@@ -75,7 +75,6 @@ ElasticTenancyManager::registerTenantClass(VssdId id, int demand_class)
             return;
         }
     }
-    // fleetio-analyze: allow(hot-alloc): tenant-class registration is a control-plane arrival event
     known_.push_back(KnownTenant{id, demand_class});
 }
 
@@ -224,7 +223,6 @@ ElasticTenancyManager::teardown(VssdId id)
                                     return k.id == id;
                                 }),
                  known_.end());
-    // fleetio-analyze: allow(hot-alloc): tenant retirement control plane, not the per-I/O fast path
     scrubbing_.push_back(id);
     pollScrub(id);
 }

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "src/core/tenant_admission.h"
-#include "src/core/thread_annotations.h"
 #include "src/harvest/gsb_manager.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/types.h"
@@ -94,9 +93,10 @@ struct ChurnStats
 
 /**
  * The elastic-tenancy manager. One per Testbed, created only when a
- * churn schedule is configured.
+ * churn schedule is configured. One thread uses a manager at a time,
+ * like the testbed that owns it; it has no locks.
  */
-class FLEETIO_THREAD_CONFINED ElasticTenancyManager
+class ElasticTenancyManager
 {
   public:
     /**

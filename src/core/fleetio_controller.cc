@@ -67,7 +67,6 @@ FleetIoController::attachStore(Managed &m)
         m.store.reset();
         return;
     }
-    // fleetio-analyze: allow(hot-alloc): checkpoint store built at tenant attach, control plane
     m.store = std::make_unique<rl::CheckpointStore>(
         checkpoint_dir_ + "/agent-" + std::to_string(m.vssd->id()) +
         ".ckpt");
@@ -78,16 +77,13 @@ FleetIoController::addVssd(Vssd &vssd, double alpha)
 {
     Managed m;
     m.vssd = &vssd;
-    // fleetio-analyze: allow(hot-alloc): tenant add is a rare control-plane reconfiguration
     m.agent = std::make_unique<FleetIoAgent>(vssd.id(), cfg_,
                                              seed_counter_);
     seed_counter_ = seed_counter_ * 6364136223846793005ull + 1442695040888963407ull;
     m.agent->setAlpha(alpha);
     m.teacher_until = windows_ + std::uint64_t(cfg_.teacher_windows);
     attachStore(m);
-    // fleetio-analyze: allow(hot-alloc): tenant add is a rare control-plane reconfiguration
     managed_.push_back(std::move(m));
-    // fleetio-analyze: allow(hot-alloc): tenant add is a rare control-plane reconfiguration
     agents_.push_back(managed_.back().agent.get());
     if (supervisor_ != nullptr)
         supervisor_->attach(*managed_.back().agent, vssd);
@@ -108,7 +104,7 @@ FleetIoController::removeVssd(VssdId id)
         managed_.erase(managed_.begin() + std::ptrdiff_t(i));
         agents_.clear();
         for (auto &m : managed_)
-            agents_.push_back(m.agent.get());  // fleetio-analyze: allow(hot-alloc): tenant removal is a rare reconfiguration
+            agents_.push_back(m.agent.get());
         // Gauges are cached by managed index; positions shifted.
         reward_gauges_.clear();
         return true;

@@ -63,8 +63,9 @@ StateExtractor::windowState(const Vssd &vssd,
 void
 StateExtractor::push(VssdId vssd, rl::Vector window_state)
 {
+    if (history_.size() <= vssd)
+        history_.resize(vssd + 1);
     auto &h = history_[vssd];
-    // fleetio-analyze: allow(hot-alloc): bounded history: paired pop_front holds state_stack depth
     h.push_back(std::move(window_state));
     while (h.size() > std::size_t(cfg_.state_stack))
         h.pop_front();
@@ -74,10 +75,9 @@ rl::Vector
 StateExtractor::stacked(VssdId vssd) const
 {
     rl::Vector out(stateDim(), 0.0);
-    auto it = history_.find(vssd);
-    if (it == history_.end())
+    if (vssd >= history_.size())
         return out;
-    const auto &h = it->second;
+    const auto &h = history_[vssd];
     // Place the available windows at the *end* (most recent last) so
     // the newest window always occupies the same feature positions.
     const std::size_t per = FleetIoConfig::kStatesPerWindow;

@@ -6,7 +6,7 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
+#include <vector>
 
 #include "src/core/config.h"
 #include "src/rl/matrix.h"
@@ -49,14 +49,19 @@ class StateExtractor
     rl::Vector stacked(VssdId vssd) const;
 
     /** Drop one vSSD's history (deallocation). */
-    void reset(VssdId vssd) { history_.erase(vssd); }
+    void reset(VssdId vssd)
+    {
+        if (vssd < history_.size())
+            history_[vssd].clear();
+    }
 
     std::size_t stateDim() const { return cfg_.stateDim(); }
 
   private:
     const FleetIoConfig &cfg_;
     const SsdGeometry &geo_;
-    std::unordered_map<VssdId, std::deque<rl::Vector>> history_;
+    /** Window states [vssd], oldest first; empty = no history. */
+    std::vector<std::deque<rl::Vector>> history_;
 };
 
 }  // namespace fleetio

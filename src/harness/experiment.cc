@@ -8,7 +8,6 @@
 #include <mutex>
 #include <tuple>
 
-#include "src/core/thread_annotations.h"
 #include "src/virt/channel_allocator.h"
 
 namespace fleetio {
@@ -48,8 +47,7 @@ class SloCache
 
   private:
     std::mutex mu_;
-    std::map<SloKey, std::unique_ptr<SloEntry>> entries_
-        FLEETIO_GUARDED_BY(mu_);
+    std::map<SloKey, std::unique_ptr<SloEntry>> entries_;  // guarded by mu_
 };
 
 }  // namespace

@@ -21,7 +21,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "src/core/thread_annotations.h"
 #include "src/harness/experiment.h"
 
 namespace fleetio {
@@ -65,13 +64,13 @@ class ThreadPool
     void workerLoop();
 
     std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> tasks_ FLEETIO_GUARDED_BY(mu_);
+    std::deque<std::function<void()>> tasks_;  // guarded by mu_
     std::mutex mu_;
     std::condition_variable cv_task_;
     std::condition_variable cv_done_;
     /// Queued + currently running.
-    std::size_t in_flight_ FLEETIO_GUARDED_BY(mu_) = 0;
-    bool stop_ FLEETIO_GUARDED_BY(mu_) = false;
+    std::size_t in_flight_ = 0;  // guarded by mu_
+    bool stop_ = false;          // guarded by mu_
 };
 
 /**

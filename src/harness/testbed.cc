@@ -138,11 +138,9 @@ Testbed::addTenant(WorkloadKind kind,
 
     const WorkloadProfile profile = profileFor(kind, opts_.intensity);
     tenant_seed_ = tenant_seed_ * 6364136223846793005ull + 1442695040888963407ull;
-    // fleetio-analyze: allow(hot-alloc): tenant provisioning, runs at arrival not per I/O
     workloads_.push_back(std::make_unique<SyntheticWorkload>(
         profile, eq_, sched_, v.id(), v.ftl().logicalPages(),
         tenant_seed_));
-    // fleetio-analyze: allow(hot-alloc): tenant provisioning, runs at arrival not per I/O
     kinds_.push_back(kind);
     if (attr_ != nullptr)
         attr_->setSlo(v.id(), slo);
@@ -242,7 +240,6 @@ Testbed::sampleUtilization()
         const SimTime elapsed = eq_.now() - last_sample_;
         if (elapsed > 0) {
             const double util = dev_.busUtilization(elapsed);
-            // fleetio-analyze: allow(hot-alloc): one sample per utilization tick, amortized over the run
             util_samples_.push_back(util);
             dev_.resetBusyWindow();
             last_sample_ = eq_.now();
@@ -425,7 +422,7 @@ Testbed::writeDeviceCheckpoint()
         for (Lpa lpa = 0; lpa < ftl.logicalPages(); ++lpa) {
             const Ppa ppa = ftl.lookup(lpa);
             if (ppa != kNoPpa)
-                entries.push_back(CheckpointEntry{v->id(), lpa, ppa});  // fleetio-analyze: allow(hot-alloc): once per checkpoint interval
+                entries.push_back(CheckpointEntry{v->id(), lpa, ppa});
         }
     }
     durability_->writeCheckpoint(entries, eq_.now());

@@ -53,7 +53,6 @@ GsbManager::donatedChannels(VssdId home) const
     // home keeps the advertised harvestable level stocked — this is
     // what keeps fine-grained harvesting flowing window after window.
     std::uint32_t total = 0;
-    // fleetio-analyze: allow(determinism-taint): commutative sum over the map; iteration order cannot change it
     for (const auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home && !g->reclaiming() && !g->spent() &&
             !g->inUse()) {
@@ -67,7 +66,6 @@ std::uint32_t
 GsbManager::heldChannels(VssdId v) const
 {
     std::uint32_t total = 0;
-    // fleetio-analyze: allow(determinism-taint): commutative sum over the map; iteration order cannot change it
     for (const auto &[id, g] : gsbs_) {
         if (g->inUse() && g->harvestVssd() == v && !g->reclaiming() &&
             !g->spent()) {
@@ -92,7 +90,6 @@ GsbManager::createGsb(Vssd &home, std::uint32_t n_chls)
         if (dev_.freeRatio(ch) >= kMinFreeRatioForGsb &&
             dev_.retiredRatio(ch) < kMaxRetiredDensityForGsb &&
             dev_.freeBlocksInChannel(ch) >= blocks_per_ch) {
-            // fleetio-analyze: allow(hot-alloc): bounded by home channel count, runs per gSB creation
             candidates.push_back(ch);
         }
     }
@@ -129,7 +126,6 @@ GsbManager::createGsb(Vssd &home, std::uint32_t n_chls)
         return nullptr;
     home.ftl().chargeDonatedBlocks(std::uint64_t(added) * blocks_per_ch);
 
-    // fleetio-analyze: allow(hot-alloc): one boxed gSB per creation, per flush window
     auto gsb = std::make_unique<Gsb>(next_id_++, std::move(sb),
                                      home.id());
     Gsb *raw = gsb.get();
@@ -186,7 +182,7 @@ GsbManager::reclaimLazily(Gsb *gsb)
                 dev_.chip(stripe.channel, chip).block(blk);
             if (fb.state == BlockState::kOpen) {
                 if (fb.write_ptr == 0)
-                    to_release.emplace_back(stripe.channel, chip, blk);  // fleetio-analyze: allow(hot-alloc): bounded by stripe blocks, per gSB reclaim
+                    to_release.emplace_back(stripe.channel, chip, blk);
                 else
                     dev_.durableClose(stripe.channel, chip, blk);
             }
@@ -236,16 +232,10 @@ GsbManager::revokeUnderPressure(VssdId home_id)
     // home is wedged at zero free blocks and GC cannot find a
     // relocation target.
     std::vector<Gsb *> pool_gsbs;
-    // fleetio-analyze: allow(determinism-taint): collected set is sorted by gSB id before any effect
     for (auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home_id && !g->reclaiming() && !g->inUse())
-            // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per pressure revoke
             pool_gsbs.push_back(g.get());
     }
-    // Map order must not decide which gSBs revoke (or the trace-event
-    // order): fix it by id.
-    std::sort(pool_gsbs.begin(), pool_gsbs.end(),
-              [](Gsb *a, Gsb *b) { return a->id() < b->id(); });
     for (Gsb *g : pool_gsbs) {
         if (!pool_.remove(g))
             continue;
@@ -268,14 +258,11 @@ GsbManager::revokeUnderPressure(VssdId home_id)
     // Detaching the harvester's write path is immediate; the blocks
     // drain back through the home GC's HBT-prioritized victims.
     std::vector<Gsb *> in_use;
-    // fleetio-analyze: allow(determinism-taint): collected set is sorted by id tiebreak before any effect
     for (auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home_id && !g->reclaiming() && g->inUse())
-            // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per pressure revoke
             in_use.push_back(g.get());
     }
-    // Emptiest first: cheapest copyback frees quota soonest. Ties
-    // break by id so map order never reaches the reclaim sequence.
+    // Emptiest first: cheapest copyback frees quota soonest.
     std::sort(in_use.begin(), in_use.end(), [this](Gsb *a, Gsb *b) {
         const auto av = a->validPages(dev_), bv = b->validPages(dev_);
         return av != bv ? av < bv : a->id() < b->id();
@@ -327,12 +314,9 @@ GsbManager::makeHarvestable(VssdId home_id, double gsb_bw_mbps)
     for (auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home_id && g->inUse() && !g->reclaiming() &&
             g->spent() && g->numChannels() > target) {
-            // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per harvest-level change
             oversize.push_back(g.get());
         }
     }
-    std::sort(oversize.begin(), oversize.end(),
-              [](Gsb *a, Gsb *b) { return a->id() < b->id(); });
     for (Gsb *g : oversize)
         reclaimLazily(g);
 
@@ -346,7 +330,6 @@ GsbManager::makeHarvestable(VssdId home_id, double gsb_bw_mbps)
         for (auto &[id, g] : gsbs_) {
             if (g->homeVssd() == home_id && !g->reclaiming() &&
                 !g->inUse()) {
-                // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per harvest-level change
                 avail.push_back(g.get());
             }
         }
@@ -397,18 +380,12 @@ std::uint32_t
 GsbManager::forceReleaseHeld(VssdId harvester_id)
 {
     std::vector<Gsb *> held;
-    // fleetio-analyze: allow(determinism-taint): collected set is sorted by gSB id before any effect
     for (auto &[id, g] : gsbs_) {
         if (g->inUse() && g->harvestVssd() == harvester_id &&
             !g->reclaiming()) {
-            // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per forced release
             held.push_back(g.get());
         }
     }
-    // Release in id order: the trace/attribution stream must not
-    // depend on unordered_map layout.
-    std::sort(held.begin(), held.end(),
-              [](Gsb *a, Gsb *b) { return a->id() < b->id(); });
     std::uint32_t channels = 0;
     for (Gsb *g : held) {
         channels += g->numChannels();
@@ -437,14 +414,10 @@ GsbManager::retireDonor(VssdId home_id)
     // Unharvested pool gSBs first: instant metadata-only destruction,
     // blocks return to the free pool with no data movement.
     std::vector<Gsb *> pool_gsbs;
-    // fleetio-analyze: allow(determinism-taint): collected set is sorted by gSB id before any effect
     for (auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home_id && !g->reclaiming() && !g->inUse())
-            // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per donor retirement
             pool_gsbs.push_back(g.get());
     }
-    std::sort(pool_gsbs.begin(), pool_gsbs.end(),
-              [](Gsb *a, Gsb *b) { return a->id() < b->id(); });
     for (Gsb *g : pool_gsbs) {
         if (!pool_.remove(g))
             continue;
@@ -457,14 +430,10 @@ GsbManager::retireDonor(VssdId home_id)
     // already-written blocks drain through the home GC (the retirement
     // scrub keeps requestReclaim() asserted until they are gone).
     std::vector<Gsb *> in_use;
-    // fleetio-analyze: allow(determinism-taint): collected set is sorted by gSB id before any effect
     for (auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home_id && !g->reclaiming())
-            // fleetio-analyze: allow(hot-alloc): bounded by live gSB count, runs per donor retirement
             in_use.push_back(g.get());
     }
-    std::sort(in_use.begin(), in_use.end(),
-              [](Gsb *a, Gsb *b) { return a->id() < b->id(); });
     for (Gsb *g : in_use) {
         reclaimLazily(g);
         ++torn_down;
@@ -475,7 +444,6 @@ GsbManager::retireDonor(VssdId home_id)
 bool
 GsbManager::hasGsbsForHome(VssdId home_id) const
 {
-    // fleetio-analyze: allow(determinism-taint): order-insensitive existence check
     for (const auto &[id, g] : gsbs_) {
         if (g->homeVssd() == home_id)
             return true;

@@ -8,8 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/harvest/gsb.h"
@@ -142,8 +142,9 @@ class GsbManager
     FlashDevice &dev_;
     VssdManager &vssds_;
     GsbPool pool_;
-    std::unordered_map<GsbId, std::unique_ptr<Gsb>> gsbs_;
-    std::unordered_map<std::uint64_t, GsbId> block_to_gsb_;
+    /** Ordered by id, so every walk over the live gSBs is in id order. */
+    std::map<GsbId, std::unique_ptr<Gsb>> gsbs_;
+    std::map<std::uint64_t, GsbId> block_to_gsb_;
     GsbId next_id_ = 1;
 
     std::uint64_t created_ = 0;

@@ -20,7 +20,6 @@ GsbPool::insert(Gsb *gsb)
     const std::uint32_t n = gsb->numChannels();
     assert(n >= 1 && n <= num_lists_);
 
-    // fleetio-analyze: allow(hot-alloc): one pool node per gSB creation, per flush window
     auto node = std::make_unique<Node>();
     Node *raw = node.get();
     raw->gsb = gsb;
@@ -33,7 +32,6 @@ GsbPool::insert(Gsb *gsb)
                                                   std::memory_order_acquire)) {
             expected = 0;
         }
-        // fleetio-analyze: allow(hot-alloc): arena grows per gSB creation, amortized; not per page op
         arena_.push_back(std::move(node));
         arena_lock_.store(0, std::memory_order_release);
     }

@@ -431,7 +431,6 @@ AttributionHub::rollWindow(SimTime /*now*/, std::uint64_t window,
             } else {
                 v.cause = VerdictCause::kSelfLoad;
             }
-            // fleetio-analyze: allow(hot-alloc): one verdict per breached window, off the request path
             verdicts_.push_back(v);
             ++verdict_counts_[std::size_t(v.cause)];
             cause_gauge = double(int(v.cause)) + 1.0;

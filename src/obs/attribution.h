@@ -26,7 +26,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "src/core/thread_annotations.h"
 #include "src/sim/types.h"
 
 namespace fleetio::obs {
@@ -128,9 +127,10 @@ inline constexpr std::size_t kNumHarvestNotes = 3;
  * The attribution hub. One per testbed, installed on the FlashDevice
  * next to the tracer; all emit methods below are reached through the
  * FLEETIO_ATTR_EVENT / FLEETIO_ATTR_SCOPE null-guard macros so a null
- * hub costs one pointer test. Single-threaded, like the simulation.
+ * hub costs one pointer test. One thread uses a hub at a time, like
+ * the simulation it belongs to; it has no locks.
  */
-class FLEETIO_THREAD_CONFINED AttributionHub
+class AttributionHub
 {
   public:
     struct Config

@@ -63,7 +63,6 @@ DriftMonitor::rollWindow()
             s.kl = std::max(kl, 0.0);
             s.flagged = psi > cfg_.psi_threshold;
             a.last = s;
-            // fleetio-analyze: allow(hot-alloc): one score per decision window
             scores_.push_back(s);
             max_psi_ = std::max(max_psi_, psi);
         }

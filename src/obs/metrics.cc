@@ -9,7 +9,6 @@ MetricsRegistry::counter(const std::string &name)
 {
     auto &slot = counters_[name];
     if (!slot)
-        // fleetio-analyze: allow(hot-alloc): interned once per metric name; lookups then allocate nothing
         slot = std::make_unique<Counter>();
     return *slot;
 }
@@ -19,7 +18,6 @@ MetricsRegistry::gauge(const std::string &name)
 {
     auto &slot = gauges_[name];
     if (!slot)
-        // fleetio-analyze: allow(hot-alloc): interned once per metric name; lookups then allocate nothing
         slot = std::make_unique<Gauge>();
     return *slot;
 }
@@ -29,7 +27,6 @@ MetricsRegistry::histogram(const std::string &name)
 {
     auto &slot = hists_[name];
     if (!slot)
-        // fleetio-analyze: allow(hot-alloc): interned once per metric name; lookups then allocate nothing
         slot = std::make_unique<Histogram>();
     return *slot;
 }
@@ -88,7 +85,6 @@ MetricsRegistry::snapshotWindow(SimTime now)
         snap.samples.push_back(std::move(s));
     }
     window_start_ = now;
-    // fleetio-analyze: allow(hot-alloc): one snapshot per decision window, amortized doubling
     windows_.push_back(std::move(snap));
 }
 

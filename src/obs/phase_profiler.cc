@@ -25,7 +25,6 @@ PhaseProfiler::end(std::uint64_t sim_events_now)
         std::chrono::duration<double>(Clock::now() - open_t0_).count();
     p.sim_events =
         sim_events_now >= open_ev0_ ? sim_events_now - open_ev0_ : 0;
-    // fleetio-analyze: allow(hot-alloc): a handful of phases per run
     phases_.push_back(std::move(p));
     open_ = false;
 }

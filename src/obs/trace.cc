@@ -76,7 +76,6 @@ TraceRecorder::threadRing()
     if (cache.uid == uid_)
         return *cache.ring;
     std::lock_guard<std::mutex> g(mu_);
-    // fleetio-analyze: allow(hot-alloc): first event of a new thread only; then the cached ring is used
     rings_.push_back(std::make_unique<TraceRing>(ring_capacity_));
     cache.uid = uid_;
     cache.ring = rings_.back().get();

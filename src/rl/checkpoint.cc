@@ -30,14 +30,14 @@ void
 putU64(std::string &buf, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        buf.push_back(char((v >> (8 * i)) & 0xff));  // fleetio-analyze: allow(hot-alloc): serialization, per checkpoint interval
+        buf.push_back(char((v >> (8 * i)) & 0xff));
 }
 
 void
 putU32(std::string &buf, std::uint32_t v)
 {
     for (int i = 0; i < 4; ++i)
-        buf.push_back(char((v >> (8 * i)) & 0xff));  // fleetio-analyze: allow(hot-alloc): serialization, per checkpoint interval
+        buf.push_back(char((v >> (8 * i)) & 0xff));
 }
 
 void

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "src/core/thread_annotations.h"
 #include "src/rl/matrix.h"
 
 namespace fleetio::rl {
@@ -94,9 +93,10 @@ CheckpointError readCheckpoint(const std::string &path,
  * current snapshot while demoting it to "<base>.prev", and load()
  * falls back to the previous snapshot when the current one is corrupt
  * — the last-good checkpoint survives both crashes mid-write and
- * on-disk corruption of the newest file.
+ * on-disk corruption of the newest file. One thread uses a store at
+ * a time; it has no locks.
  */
-class FLEETIO_THREAD_CONFINED CheckpointStore
+class CheckpointStore
 {
   public:
     explicit CheckpointStore(std::string base_path);

@@ -25,7 +25,7 @@ void
 putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out.push_back(std::uint8_t(v >> (8 * i)));  // fleetio-analyze: allow(hot-alloc): journal serialization, per journaled op
+        out.push_back(std::uint8_t(v >> (8 * i)));
 }
 
 std::uint64_t
@@ -108,7 +108,6 @@ DurabilityModel::journalTrim(VssdId vssd, Lpa lpa)
     r.lpa = lpa;
     r.seq = ++seq_;
     r.checksum = recordChecksum(r);
-    // fleetio-analyze: allow(hot-alloc): the journal append is the durability record; amortized doubling
     journal_.push_back(r);
 }
 
@@ -123,7 +122,6 @@ DurabilityModel::journalTenantWiped(VssdId vssd)
     r.lpa = kNoLpa;
     r.seq = ++seq_;
     r.checksum = recordChecksum(r);
-    // fleetio-analyze: allow(hot-alloc): the journal append is the durability record; amortized doubling
     journal_.push_back(r);
 }
 

@@ -28,7 +28,6 @@ Superblock::addStripe(ChannelId ch, std::uint32_t blocks_per_channel,
         }
         s.blocks.emplace_back(chip, blk);
     }
-    // fleetio-analyze: allow(hot-alloc): gSB assembly, bounded by channels per stripe
     stripes_.push_back(std::move(s));
     return true;
 }

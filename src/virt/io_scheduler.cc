@@ -6,6 +6,32 @@
 
 namespace fleetio {
 
+namespace {
+
+/** Install (rate > 0) or remove @p id's bucket in a dense table. */
+void
+setBucket(std::vector<std::optional<TokenBucket>> &table, VssdId id,
+          double rate_bytes_per_sec, double burst_bytes)
+{
+    if (rate_bytes_per_sec <= 0) {
+        if (id < table.size())
+            table[id].reset();
+        return;
+    }
+    if (table.size() <= id)
+        table.resize(id + 1);
+    table[id].emplace(rate_bytes_per_sec, burst_bytes);
+}
+
+/** @p id's bucket in a dense table, or nullptr when it has none. */
+TokenBucket *
+findBucket(std::vector<std::optional<TokenBucket>> &table, VssdId id)
+{
+    return id < table.size() && table[id] ? &*table[id] : nullptr;
+}
+
+}  // namespace
+
 IoScheduler::IoScheduler(FlashDevice &dev, VssdManager &vssds)
     : dev_(dev), vssds_(vssds)
 {
@@ -21,26 +47,14 @@ void
 IoScheduler::setRateLimit(VssdId id, double rate_bytes_per_sec,
                           double burst_bytes)
 {
-    if (rate_bytes_per_sec <= 0) {
-        buckets_.erase(id);
-        return;
-    }
-    // fleetio-analyze: allow(hot-alloc): rate reconfiguration is a control-plane event
-    buckets_[id] = std::make_unique<TokenBucket>(rate_bytes_per_sec,
-                                                 burst_bytes);
+    setBucket(buckets_, id, rate_bytes_per_sec, burst_bytes);
 }
 
 void
 IoScheduler::setTierLimit(VssdId id, double rate_bytes_per_sec,
                           double burst_bytes)
 {
-    if (rate_bytes_per_sec <= 0) {
-        tier_buckets_.erase(id);
-        return;
-    }
-    // fleetio-analyze: allow(hot-alloc): rate reconfiguration is a control-plane event
-    tier_buckets_[id] = std::make_unique<TokenBucket>(rate_bytes_per_sec,
-                                                      burst_bytes);
+    setBucket(tier_buckets_, id, rate_bytes_per_sec, burst_bytes);
 }
 
 bool
@@ -236,23 +250,19 @@ IoScheduler::pump(ChannelId ch)
         for (std::size_t vid = 0; vid < cq.size(); ++vid) {
             if (cq[vid].empty())
                 continue;
-            auto bit = buckets_.find(VssdId(vid));
-            if (bit != buckets_.end()) {
-                TokenBucket &tb = *bit->second;
-                if (tb.tokens(eq.now()) + 1e-9 < page_bytes) {
+            if (TokenBucket *tb = findBucket(buckets_, VssdId(vid))) {
+                if (tb->tokens(eq.now()) + 1e-9 < page_bytes) {
                     earliest_token = std::min(
                         earliest_token,
-                        tb.availableAt(page_bytes, eq.now()));
+                        tb->availableAt(page_bytes, eq.now()));
                     continue;
                 }
             }
-            auto tbit = tier_buckets_.find(VssdId(vid));
-            if (tbit != tier_buckets_.end()) {
-                TokenBucket &tb = *tbit->second;
-                if (tb.tokens(eq.now()) + 1e-9 < page_bytes) {
+            if (TokenBucket *tb = findBucket(tier_buckets_, VssdId(vid))) {
+                if (tb->tokens(eq.now()) + 1e-9 < page_bytes) {
                     earliest_token = std::min(
                         earliest_token,
-                        tb.availableAt(page_bytes, eq.now()));
+                        tb->availableAt(page_bytes, eq.now()));
                     continue;
                 }
             }
@@ -310,12 +320,10 @@ IoScheduler::pump(ChannelId ch)
                                        op.req->trace_id, ch, wait));
         if (use_stride_)
             stride_.charge(vid);
-        auto bit = buckets_.find(vid);
-        if (bit != buckets_.end())
-            bit->second->tryConsume(page_bytes, eq.now());
-        auto tbit = tier_buckets_.find(vid);
-        if (tbit != tier_buckets_.end())
-            tbit->second->tryConsume(page_bytes, eq.now());
+        if (TokenBucket *tb = findBucket(buckets_, vid))
+            tb->tryConsume(page_bytes, eq.now());
+        if (TokenBucket *tb = findBucket(tier_buckets_, vid))
+            tb->tryConsume(page_bytes, eq.now());
 
         IoRequestPtr req = op.req;
         auto done = [this, req, ch]() {

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -188,8 +188,9 @@ class IoScheduler
     FlashDevice &dev_;
     VssdManager &vssds_;
     std::vector<ChannelQueues> queues_;  // [channel][vssd]
-    std::unordered_map<VssdId, std::unique_ptr<TokenBucket>> buckets_;
-    std::unordered_map<VssdId, std::unique_ptr<TokenBucket>> tier_buckets_;
+    /** Rate and tier buckets [vssd]; an empty slot means no limit. */
+    std::vector<std::optional<TokenBucket>> buckets_;
+    std::vector<std::optional<TokenBucket>> tier_buckets_;
     std::vector<std::uint64_t> inflight_reqs_;  // [vssd]
     StrideScheduler stride_;
     std::vector<BlockedWrite> blocked_;

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
 #include "src/sim/types.h"
@@ -54,7 +54,9 @@ class StrideScheduler
     };
 
     Entry &entry(VssdId id);
-    std::unordered_map<VssdId, Entry> entries_;
+    const Entry *find(VssdId id) const;
+    /** [vssd]; an empty slot is an unregistered vSSD. */
+    std::vector<std::optional<Entry>> entries_;
     double global_pass_ = 0.0;
 };
 

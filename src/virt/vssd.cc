@@ -31,10 +31,8 @@ VssdManager::create(const Vssd::Config &cfg)
         if (on_erased_)
             on_erased_(ch, chip, blk);
     };
-    // fleetio-analyze: allow(hot-alloc): vSSD creation is a control-plane arrival event
     vssds_.push_back(std::make_unique<Vssd>(dev_, hbt_, cfg,
                                             std::move(hooks)));
-    // fleetio-analyze: allow(hot-alloc): vSSD creation is a control-plane arrival event
     alive_.push_back(true);
     return *vssds_.back();
 }

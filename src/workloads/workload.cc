@@ -100,7 +100,6 @@ SyntheticWorkload::scheduleNextArrival()
 IoRequestPtr
 SyntheticWorkload::buildRequest()
 {
-    // fleetio-analyze: allow(hot-alloc): one boxing per request anchors its lifetime across scheduler/FTL/completion
     auto req = std::make_shared<IoRequest>();
     req->vssd = vssd_;
     req->type = rng_.bernoulli(profile_.read_fraction) ? IoType::kRead

@@ -1,4 +1,5 @@
-// Fixture: R1 nondeterminism — wall clock and libc RNG in sim code.
+// Fixture: R1 nondeterminism — wall clock, libc RNG and containers
+// whose iteration order is unspecified, in sim code.
 #include <chrono>
 #include <cstdlib>
 
@@ -15,5 +16,12 @@ libcRandom()
 {
     return rand();
 }
+
+struct Registry
+{
+    std::unordered_map<int, long> by_id;
+    std::map<const Registry *, int> by_owner;
+    std::map<int, const Registry *> owner_of;  // pointer values are fine
+};
 
 }  // namespace fixture

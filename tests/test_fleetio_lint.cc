@@ -81,9 +81,13 @@ TEST(LintFixtures, R1NondeterminismFlagsClockAndRand)
 {
     const Result r = runRule("nondeterminism");
     const auto hits = inFile(r, "nondeterminism", "nondet_bad.cc");
-    ASSERT_EQ(hits.size(), 2u);
-    EXPECT_EQ(hits[0].line, 10);  // system_clock
-    EXPECT_EQ(hits[1].line, 16);  // rand()
+    ASSERT_EQ(hits.size(), 4u);
+    EXPECT_EQ(hits[0].line, 11);  // system_clock
+    EXPECT_EQ(hits[1].line, 17);  // rand()
+    EXPECT_EQ(hits[2].line, 22);  // unordered_map
+    EXPECT_EQ(hits[3].line, 23);  // pointer-keyed std::map
+    EXPECT_NE(hits[2].message.find("iteration order is unspecified"),
+              std::string::npos);
 }
 
 TEST(LintFixtures, R2HotpathFlagsFunctionIostreamStoi)

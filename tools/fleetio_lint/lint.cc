@@ -20,7 +20,8 @@ namespace {
 
 const std::vector<RuleInfo> kRules = {
     {"nondeterminism", "R1",
-     "no wall-clock or libc RNG in deterministic code (src/**)"},
+     "no wall-clock, libc RNG, unordered container or pointer-keyed "
+     "std::map/std::set in deterministic code (src/**)"},
     {"hotpath", "R2",
      "no std::function / iostream / throwing std::stoi-family in "
      "src/{sim,ssd,virt}"},
@@ -46,8 +47,7 @@ const std::vector<RuleInfo> kRules = {
 
 // --------------------------------------------------------------- lexer
 // The comment/string stripper, word/call matchers and file I/O live in
-// the shared source-model layer (source_model.{h,cc}) so fleetio-lint
-// and fleetio-analyze agree on what "code" is.
+// the source-model layer (source_model.{h,cc}).
 
 using srcmodel::callLike;
 using srcmodel::containsWord;
@@ -90,6 +90,49 @@ wallClockTimeCall(const std::string &line)
             return true;
     }
     return false;
+}
+
+/**
+ * The ordered container on @p line whose key is a pointer (its first
+ * template argument ends in `*`), e.g. "std::map"; nullptr if none.
+ * Pointer keys order by address, which changes from run to run.
+ */
+const char *
+pointerKeyedContainer(const std::string &line)
+{
+    static const char *const kOrdered[] = {"std::map", "std::set",
+                                           "std::multimap",
+                                           "std::multiset"};
+    for (const char *name : kOrdered) {
+        const std::size_t len = std::string(name).size();
+        for (std::size_t pos = line.find(name); pos != std::string::npos;
+             pos = line.find(name, pos + 1)) {
+            if (pos > 0 && isWordChar(line[pos - 1]))
+                continue;
+            std::size_t j = pos + len;
+            while (j < line.size() && std::isspace((unsigned char)line[j]))
+                ++j;
+            if (j >= line.size() || line[j] != '<')
+                continue;
+            // The key runs to the first ',' or '>' outside nested <>.
+            int depth = 0;
+            std::size_t k = j + 1;
+            for (; k < line.size(); ++k) {
+                if (line[k] == '<') {
+                    ++depth;
+                } else if (line[k] == '>' || line[k] == ',') {
+                    if (depth == 0)
+                        break;
+                    if (line[k] == '>')
+                        --depth;
+                }
+            }
+            const std::size_t last = line.find_last_not_of(" \t", k - 1);
+            if (last != std::string::npos && last > j && line[last] == '*')
+                return name;
+        }
+    }
+    return nullptr;
 }
 
 // ------------------------------------------------------ per-file model
@@ -211,7 +254,7 @@ bool
 skippedDir(const std::string &name)
 {
     return name == ".git" || name == "lint_fixtures" ||
-           name == "analyze_fixtures" || name.rfind("build", 0) == 0;
+           name.rfind("build", 0) == 0;
 }
 
 void
@@ -283,6 +326,10 @@ checkNondeterminism(Ctx &ctx, FileInfo &f)
                                     "random_device", "gettimeofday",
                                     "clock_gettime", "localtime",
                                     "timeofday"};
+    // Containers whose iteration order is unspecified.
+    static const char *kUnordered[] = {"unordered_map", "unordered_set",
+                                       "unordered_multimap",
+                                       "unordered_multiset"};
     for (std::size_t li = 0; li < f.code.size(); ++li) {
         const std::string &line = f.code[li];
         if (line.empty())
@@ -306,6 +353,20 @@ checkNondeterminism(Ctx &ctx, FileInfo &f)
             ctx.report(f, int(li) + 1, "nondeterminism",
                        "banned wall-clock call (time/clock): "
                        "deterministic code must use sim time");
+        }
+        for (const char *c : kUnordered) {
+            if (containsWord(line, c)) {
+                ctx.report(f, int(li) + 1, "nondeterminism",
+                           std::string(c) +
+                               ": iteration order is unspecified; use "
+                               "a dense vector or std::map");
+            }
+        }
+        if (const char *c = pointerKeyedContainer(line)) {
+            ctx.report(f, int(li) + 1, "nondeterminism",
+                       std::string("pointer-keyed ") + c +
+                           ": iteration order is unspecified; use a "
+                           "dense vector or std::map keyed by an id");
         }
     }
 }

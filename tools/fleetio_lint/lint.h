@@ -6,7 +6,9 @@
  * to run as a tier-1 ctest over the whole tree.
  *
  * Rules (ids are what `// fleetio-lint: allow(<id>): <reason>` takes):
- *  - nondeterminism      (R1) banned wall-clock / libc RNG under src/
+ *  - nondeterminism      (R1) banned wall-clock / libc RNG /
+ *                             unordered or pointer-keyed ordered
+ *                             containers under src/
  *  - hotpath             (R2) no std::function / iostream / throwing
  *                             std::stoi-family in src/{sim,ssd,virt}
  *  - trace-macro         (R3) TraceRecorder emits outside src/obs must

@@ -1,10 +1,8 @@
 /**
  * @file
- * Shared source-model layer for the FleetIO developer checks: the
+ * Source-model layer of fleetio-lint (lint.{h,cc}): the
  * comment/string-stripping lexer, word/call matchers, inline
- * suppression parsing, and file I/O used by both fleetio-lint
- * (token/regex pass, lint.{h,cc}) and fleetio-analyze (semantic pass,
- * analyze.{h,cc}). Dependency-free — std:: only.
+ * suppression parsing, and file I/O. Dependency-free — std:: only.
  *
  * Lexer guarantees (regression-tested in tests/test_source_model.cc):
  *  - stripCode() preserves byte length and every line break, so
@@ -63,8 +61,8 @@ struct Suppress
 };
 
 /**
- * Parse every suppression comment bearing @p tag (e.g. "fleetio-lint:"
- * or "fleetio-analyze:") out of a file. @p raw are the raw lines,
+ * Parse every suppression comment bearing @p tag (e.g. "fleetio-lint:")
+ * out of a file. @p raw are the raw lines,
  * @p code the stripped lines (same count). Keys are 1-based line
  * numbers of the *suppressed* line.
  */
