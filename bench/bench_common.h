@@ -49,13 +49,14 @@ pairLabel(const std::vector<WorkloadKind> &pair)
     return s;
 }
 
-/** Table 5 scalability mixes. */
+/** A labeled workload set: a Table 5 mix or a §4.2 pair. */
 struct Mix
 {
     std::string label;
     std::vector<WorkloadKind> workloads;
 };
 
+/** Table 5 scalability mixes. */
 inline std::vector<Mix>
 scalabilityMixes()
 {
