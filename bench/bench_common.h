@@ -2,8 +2,7 @@
  * @file
  * Shared scaffolding for the figure-reproduction benches: the paper's
  * workload pairs (§4.2) and mixes (Table 5), spec construction,
- * normalized-metric helpers, and the mapping-integrity walk the
- * robustness benches share.
+ * and normalized-metric helpers.
  *
  * Scale note (printed by every bench): the device is the benchGeometry
  * scale-down of Table 3 (identical channel/chip/page ratios and
@@ -141,31 +140,6 @@ banner(const std::string &title)
               << "Shapes (orderings, ratios) are the reproduction "
                  "target, not absolute board numbers.\n"
               << "==================================================\n\n";
-}
-
-/** Walk every active tenant's map: each mapped LPA must resolve to a
- *  valid, non-retired page whose reverse map points straight back. */
-inline bool
-verifyMappings(Testbed &tb)
-{
-    const auto &geo = tb.device().geometry();
-    for (auto *v : tb.vssds().active()) {
-        Ftl &ftl = v->ftl();
-        for (Lpa lpa = 0; lpa < ftl.logicalPages(); ++lpa) {
-            const Ppa ppa = ftl.lookup(lpa);
-            if (ppa == kNoPpa)
-                continue;
-            const FlashBlock &blk = tb.device().blockOf(ppa);
-            if (blk.state == BlockState::kRetired)
-                return false;
-            if (!blk.valid[geo.pageOf(ppa)])
-                return false;
-            const RmapEntry &r = tb.device().rmap(ppa);
-            if (r.data_vssd != v->id() || r.lpa != lpa)
-                return false;
-        }
-    }
-    return true;
 }
 
 }  // namespace fleetio::bench

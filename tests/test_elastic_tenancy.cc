@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/check/audit.h"
 #include "src/harness/parallel.h"
 #include "src/harness/testbed.h"
 #include "src/policies/fleetio_policy.h"
@@ -191,19 +192,9 @@ TEST(ElasticTenancy, RemovalDrainsScrubsAndReclaimsUnderFaults)
     EXPECT_EQ(tb.elastic()->ledger().freeChannels(), 8u);
 
     // The survivor's mappings are intact despite the injected faults.
-    const auto &geo = tb.device().geometry();
-    for (auto *v : tb.vssds().active()) {
-        Ftl &ftl = v->ftl();
-        for (Lpa lpa = 0; lpa < ftl.logicalPages(); ++lpa) {
-            const Ppa ppa = ftl.lookup(lpa);
-            if (ppa == kNoPpa)
-                continue;
-            const RmapEntry &r = tb.device().rmap(ppa);
-            ASSERT_EQ(r.data_vssd, v->id());
-            ASSERT_EQ(r.lpa, lpa);
-            ASSERT_TRUE(tb.device().blockOf(ppa).valid[geo.pageOf(ppa)]);
-        }
-    }
+    for (auto *v : tb.vssds().active())
+        EXPECT_EQ(check::auditMappings(tb.device(), v->ftl()), "");
+    EXPECT_EQ(check::auditBlocks(tb.device()), "");
 }
 
 TEST(ElasticTenancy, ArrivalWaitsForChannelsThenIsProvisioned)

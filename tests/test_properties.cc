@@ -2,69 +2,21 @@
  * @file
  * Property-based tests: randomized operation sequences with global
  * invariant checks over the FTL, GC, and the harvesting plane —
- * parameterized over seeds and geometries.
+ * parameterized over seeds and geometries — and the invariant auditor
+ * itself, which must report each seeded corruption where it lies.
  */
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 
+#include "src/check/audit.h"
 #include "src/harvest/gsb_manager.h"
 #include "src/sim/rng.h"
 #include "src/virt/vssd.h"
 
 namespace fleetio {
 namespace {
-
-/** Mapping/reverse-mapping/valid-bit consistency for one tenant. */
-void
-checkFtlConsistency(const FlashDevice &dev, const Ftl &ftl)
-{
-    const auto &geo = dev.geometry();
-    std::uint64_t mapped = 0;
-    for (Lpa lpa = 0; lpa < ftl.logicalPages(); ++lpa) {
-        const Ppa ppa = ftl.lookup(lpa);
-        if (ppa == kNoPpa)
-            continue;
-        ++mapped;
-        // The reverse map agrees with the forward map.
-        ASSERT_EQ(dev.rmap(ppa).data_vssd, ftl.vssd())
-            << "lpa " << lpa;
-        ASSERT_EQ(dev.rmap(ppa).lpa, lpa);
-        // The physical page is live.
-        const FlashBlock &blk = dev.blockOf(ppa);
-        ASSERT_TRUE(blk.valid[geo.pageOf(ppa)]) << "lpa " << lpa;
-    }
-    ASSERT_EQ(mapped, ftl.livePages());
-}
-
-/** Device-wide: every block's valid_count equals its bitmap's count,
- *  and free-block counters match block states. */
-void
-checkDeviceConsistency(const FlashDevice &dev)
-{
-    const auto &geo = dev.geometry();
-    for (ChannelId ch = 0; ch < geo.num_channels; ++ch) {
-        for (ChipId c = 0; c < geo.chips_per_channel; ++c) {
-            const FlashChip &chip = dev.chip(ch, c);
-            std::uint32_t free_blocks = 0;
-            for (BlockId b = 0; b < chip.numBlocks(); ++b) {
-                const FlashBlock &blk = chip.block(b);
-                std::uint32_t valid = 0;
-                for (PageId p = 0; p < geo.pages_per_block; ++p)
-                    valid += blk.valid[p];
-                ASSERT_EQ(valid, blk.valid_count)
-                    << "ch " << ch << " chip " << c << " blk " << b;
-                if (blk.state == BlockState::kFree) {
-                    ++free_blocks;
-                    ASSERT_EQ(blk.valid_count, 0u);
-                    ASSERT_EQ(blk.owner, kNoVssd);
-                }
-            }
-            ASSERT_EQ(free_blocks, chip.freeBlocks());
-        }
-    }
-}
 
 class FtlFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -102,13 +54,13 @@ TEST_P(FtlFuzz, RandomWritesTrimsAndGcKeepInvariants)
         }
         if (step % 1500 == 1499) {
             eq.runUntil(eq.now() + sec(1));  // drain GC
-            checkFtlConsistency(dev, v.ftl());
-            checkDeviceConsistency(dev);
+            ASSERT_EQ(check::auditMappings(dev, v.ftl()), "");
+            ASSERT_EQ(check::auditBlocks(dev), "");
         }
     }
     eq.runUntil(eq.now() + sec(2));
-    checkFtlConsistency(dev, v.ftl());
-    checkDeviceConsistency(dev);
+    ASSERT_EQ(check::auditMappings(dev, v.ftl()), "");
+    ASSERT_EQ(check::auditBlocks(dev), "");
     // Quota ledger sanity: used blocks never exceed the quota, and at
     // least ceil(live/pages_per_block) blocks are in use.
     EXPECT_LE(v.ftl().blocksUsed(), cfg.quota_blocks);
@@ -118,6 +70,98 @@ TEST_P(FtlFuzz, RandomWritesTrimsAndGcKeepInvariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FtlFuzz,
                          ::testing::Values(11ull, 22ull, 33ull, 44ull));
+
+/** One tenant on channels 0-1 that has written LPAs 0-15: every block
+ *  it opened is still open. Each test seeds one corruption. */
+class AuditTest : public ::testing::Test
+{
+  protected:
+    AuditTest()
+    {
+        Vssd::Config cfg;
+        cfg.id = 0;
+        cfg.quota_blocks = geo.blocksPerChannel() * 2;
+        cfg.channels = {0, 1};
+        v = &mgr.create(cfg);
+        for (Lpa lpa = 0; lpa < 16; ++lpa) {
+            Ppa ppa;
+            EXPECT_TRUE(v->ftl().allocateWrite(lpa, ppa));
+        }
+    }
+
+    /** "ch C chip K" of @p ppa, the prefix auditBlocks reports. */
+    std::string chipAt(Ppa ppa) const
+    {
+        return "ch " + std::to_string(geo.channelOf(ppa)) + " chip " +
+               std::to_string(geo.chipOf(ppa));
+    }
+
+    const SsdGeometry geo = testGeometry();
+    EventQueue eq;
+    FlashDevice dev{geo, eq};
+    HarvestedBlockTable hbt{geo};
+    VssdManager mgr{dev, hbt};
+    Vssd *v = nullptr;
+};
+
+TEST_F(AuditTest, FreshlyWrittenStateIsClean)
+{
+    EXPECT_EQ(check::auditMappings(dev, v->ftl()), "");
+    EXPECT_EQ(check::auditBlocks(dev), "");
+}
+
+TEST_F(AuditTest, ReportsRmapPointedAtAnotherLpa)
+{
+    const Ppa ppa = v->ftl().lookup(5);
+    dev.setRmap(ppa, 0, 6);
+    EXPECT_EQ(check::auditMappings(dev, v->ftl()),
+              "vSSD 0 lpa 5 -> ppa " + std::to_string(ppa) +
+                  ": rmap names vSSD 0 lpa 6");
+}
+
+TEST_F(AuditTest, ReportsValidBitClearedWithoutItsCount)
+{
+    const Ppa ppa = v->ftl().lookup(5);
+    FlashBlock &blk = dev.blockOf(ppa);
+    blk.valid[geo.pageOf(ppa)] = false;
+    const std::uint32_t count = blk.valid_count;
+    EXPECT_EQ(check::auditBlocks(dev),
+              chipAt(ppa) + " blk " + std::to_string(geo.blockOf(ppa)) +
+                  ": valid_count " + std::to_string(count) + ", " +
+                  std::to_string(count - 1) + " valid bits");
+}
+
+TEST_F(AuditTest, ReportsMappedPageInRetiredBlock)
+{
+    const Ppa ppa = v->ftl().lookup(5);
+    dev.blockOf(ppa).state = BlockState::kRetired;
+    EXPECT_EQ(check::auditMappings(dev, v->ftl()),
+              "vSSD 0 lpa 5 -> ppa " + std::to_string(ppa) +
+                  ": block retired");
+}
+
+TEST_F(AuditTest, ReportsFreeBlockWithAnOwner)
+{
+    // Channel 5 belongs to no tenant, so its first block is free.
+    FlashBlock &blk = dev.chip(5, 2).block(0);
+    ASSERT_EQ(blk.state, BlockState::kFree);
+    blk.owner = 0;
+    EXPECT_EQ(check::auditBlocks(dev),
+              "ch 5 chip 2 blk 0: free block owned by vSSD 0");
+}
+
+TEST_F(AuditTest, ReportsOpenBlockFreedWithoutTheChipCounter)
+{
+    const Ppa ppa = v->ftl().lookup(5);
+    FlashBlock &blk = dev.blockOf(ppa);
+    ASSERT_EQ(blk.state, BlockState::kOpen);
+    blk.state = BlockState::kFree;
+    const FlashChip &chip = dev.chip(geo.channelOf(ppa), geo.chipOf(ppa));
+    EXPECT_EQ(check::auditBlocks(dev),
+              chipAt(ppa) + ": freeBlocks() " +
+                  std::to_string(chip.freeBlocks()) + ", " +
+                  std::to_string(chip.freeBlocks() + 1) + " blocks free");
+}
 
 class HarvestFuzz : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -173,11 +217,23 @@ TEST_P(HarvestFuzz, RandomHarvestingKeepsLedgersConsistent)
 
     // Invariants:
     // 1. Forward/reverse mapping still consistent for the harvester.
-    checkFtlConsistency(dev, harv.ftl());
-    checkDeviceConsistency(dev);
+    ASSERT_EQ(check::auditMappings(dev, harv.ftl()), "");
+    ASSERT_EQ(check::auditBlocks(dev), "");
     // 2. Every live gSB block is HBT-marked (the reverse need not hold
-    //    transiently, but marked count never undershoots gSB blocks).
+    //    transiently). Some gSB must be live, or this checks nothing.
     std::uint64_t gsb_blocks = 0;
+    for (ChannelId ch = 0; ch < geo.num_channels; ++ch) {
+        for (ChipId c = 0; c < geo.chips_per_channel; ++c) {
+            for (BlockId blk = 0; blk < geo.blocks_per_chip; ++blk) {
+                if (!gsb.tracksBlock(ch, c, blk))
+                    continue;
+                ++gsb_blocks;
+                EXPECT_TRUE(hbt.isMarked(ch, c, blk))
+                    << "ch " << ch << " chip " << c << " blk " << blk;
+            }
+        }
+    }
+    EXPECT_GT(gsb_blocks, 0u);
     EXPECT_LE(gsb.liveGsbs(), 64u);
     // 3. Quota ledgers within bounds.
     EXPECT_LE(home.ftl().blocksUsed(), a.quota_blocks);
@@ -185,7 +241,6 @@ TEST_P(HarvestFuzz, RandomHarvestingKeepsLedgersConsistent)
     // 4. The pool never hands out a home-owned gSB to its own home:
     //    heldChannels(0) must be zero (vSSD 0 never harvests here).
     EXPECT_EQ(gsb.heldChannels(0), 0u);
-    (void)gsb_blocks;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HarvestFuzz,

@@ -424,28 +424,61 @@ checkHotPath(Ctx &ctx, FileInfo &f)
     }
 }
 
-// ----------------------------------------------------------------- R3
+// ------------------------------------------------------------ R3, R8
 
-void
-checkTraceMacro(Ctx &ctx, FileInfo &f)
+/**
+ * An emit family that code outside src/obs must call through its
+ * null-guarding macro: a receiver-qualified call `x->m(` or `x.m(` on
+ * a line that does not name the guard is a raw emit. Bare `m(` is the
+ * macro's second argument — already guarded.
+ */
+struct GuardedEmits
 {
-    if (!f.under("src/") || f.under("src/obs/"))
-        return;
+    const char *rule;
+    bool (*in_scope)(const FileInfo &);
+    std::vector<const char *> emits;
+    const char *guard;  ///< a line naming this is already wrapped
+    const char *cls;    ///< the emitting class
+    const char *wrap;   ///< the macro call, up to the wrapped emit
+    const char *alt;    ///< other wrappers the message offers
+};
+
+const std::vector<GuardedEmits> kGuardedEmits = {
     // TraceRecorder's emit-family methods. Export/introspection
     // (writeChromeJson, eventCount, ...) are cold-path and exempt.
-    static const char *kEmits[] = {
-        "ioSubmit",     "ioDispatch",     "ioComplete", "gcBatch",
-        "gcOp",         "gsbEvent",       "agentDecide", "agentReward",
-        "agentTrip",    "windowBoundary", "counterSample",
-        "setTrackName"};
+    {"trace-macro",
+     [](const FileInfo &f) {
+         return f.under("src/") && !f.under("src/obs/");
+     },
+     {"ioSubmit", "ioDispatch", "ioComplete", "gcBatch", "gcOp",
+      "gsbEvent", "agentDecide", "agentReward", "agentTrip",
+      "windowBoundary", "counterSample", "setTrackName"},
+     "FLEETIO_TRACE_EVENT", "TraceRecorder",
+     "FLEETIO_TRACE_EVENT(tracer, ", ""},
+    // AttributionHub's emit-family methods. Export/introspection
+    // (writeJson, results, blame, ...) are cold-path and exempt.
+    {"attr-macro",
+     [](const FileInfo &f) {
+         return f.under("src/sim/") || f.under("src/ssd/") ||
+                f.under("src/virt/") || f.under("src/harvest/");
+     },
+     {"noteRead", "noteProgram", "noteErase", "finishHostPage",
+      "zeroFillPage", "recordRequest", "resetRequest", "noteHarvest",
+      "pushContext", "popContext"},
+     "FLEETIO_ATTR_", "AttributionHub", "FLEETIO_ATTR_EVENT(hub, ",
+     " or FLEETIO_ATTR_SCOPE"},
+};
+
+void
+checkGuardedEmits(Ctx &ctx, FileInfo &f, const GuardedEmits &g)
+{
+    if (!g.in_scope(f))
+        return;
     for (std::size_t li = 0; li < f.code.size(); ++li) {
         const std::string &line = f.code[li];
-        if (line.empty() ||
-            line.find("FLEETIO_TRACE_EVENT") != std::string::npos)
+        if (line.empty() || line.find(g.guard) != std::string::npos)
             continue;
-        for (const char *m : kEmits) {
-            // Receiver-qualified call: `x->m(` or `x.m(`. Bare `m(`
-            // is the macro's second argument — already guarded.
+        for (const char *m : g.emits) {
             for (std::size_t pos = line.find(m);
                  pos != std::string::npos;
                  pos = line.find(m, pos + 1)) {
@@ -463,11 +496,11 @@ checkTraceMacro(Ctx &ctx, FileInfo &f)
                     ++j;
                 if (j >= line.size() || line[j] != '(')
                     continue;
-                ctx.report(f, int(li) + 1, "trace-macro",
-                           std::string("raw TraceRecorder::") + m +
-                               " outside src/obs: wrap in "
-                               "FLEETIO_TRACE_EVENT(tracer, " + m +
-                               "(...)) so it null-guards");
+                ctx.report(f, int(li) + 1, g.rule,
+                           std::string("raw ") + g.cls + "::" + m +
+                               " outside src/obs: wrap in " + g.wrap +
+                               m + "(...))" + g.alt +
+                               " so it null-guards");
             }
         }
     }
@@ -703,57 +736,6 @@ checkJournalApi(Ctx &ctx, FileInfo &f)
     }
 }
 
-// ----------------------------------------------------------------- R8
-
-void
-checkAttrMacro(Ctx &ctx, FileInfo &f)
-{
-    if (!(f.under("src/sim/") || f.under("src/ssd/") ||
-          f.under("src/virt/") || f.under("src/harvest/")))
-        return;
-    // AttributionHub's emit-family methods. Export/introspection
-    // (writeJson, results, blame, ...) are cold-path and exempt.
-    static const char *kEmits[] = {
-        "noteRead",      "noteProgram",   "noteErase",
-        "finishHostPage", "zeroFillPage", "recordRequest",
-        "resetRequest",  "noteHarvest",   "pushContext",
-        "popContext"};
-    for (std::size_t li = 0; li < f.code.size(); ++li) {
-        const std::string &line = f.code[li];
-        if (line.empty() ||
-            line.find("FLEETIO_ATTR_") != std::string::npos)
-            continue;
-        for (const char *m : kEmits) {
-            // Receiver-qualified call: `x->m(` or `x.m(`. Bare `m(`
-            // is the macro's second argument — already guarded.
-            for (std::size_t pos = line.find(m);
-                 pos != std::string::npos;
-                 pos = line.find(m, pos + 1)) {
-                const bool dot = pos >= 1 && line[pos - 1] == '.';
-                const bool arrow = pos >= 2 &&
-                                   line[pos - 2] == '-' &&
-                                   line[pos - 1] == '>';
-                if (!dot && !arrow)
-                    continue;
-                std::size_t j = pos + std::string(m).size();
-                if (j < line.size() && isWordChar(line[j]))
-                    continue;
-                while (j < line.size() &&
-                       std::isspace((unsigned char)line[j]))
-                    ++j;
-                if (j >= line.size() || line[j] != '(')
-                    continue;
-                ctx.report(f, int(li) + 1, "attr-macro",
-                           std::string("raw AttributionHub::") + m +
-                               " outside src/obs: wrap in "
-                               "FLEETIO_ATTR_EVENT(hub, " + m +
-                               "(...)) or FLEETIO_ATTR_SCOPE so it "
-                               "null-guards");
-            }
-        }
-    }
-}
-
 // ------------------------------------------------- bad suppressions
 
 void
@@ -905,16 +887,16 @@ runLint(const std::string &root, const Options &opts)
             checkNondeterminism(ctx, f);
         if (ctx.ruleEnabled("hotpath"))
             checkHotPath(ctx, f);
-        if (ctx.ruleEnabled("trace-macro"))
-            checkTraceMacro(ctx, f);
         if (ctx.ruleEnabled("header-hygiene"))
             checkHeaderHygiene(ctx, f);
         if (ctx.ruleEnabled("build-registration"))
             checkBuildRegistration(ctx, f);
         if (ctx.ruleEnabled("journal-api"))
             checkJournalApi(ctx, f);
-        if (ctx.ruleEnabled("attr-macro"))
-            checkAttrMacro(ctx, f);
+        for (const GuardedEmits &g : kGuardedEmits) {
+            if (ctx.ruleEnabled(g.rule))
+                checkGuardedEmits(ctx, f, g);
+        }
     }
     if (ctx.ruleEnabled("layering"))
         checkLayering(ctx);
