@@ -1,6 +1,7 @@
 /** @file Tests for the per-window metrics pipeline and phase profiler. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -9,6 +10,7 @@
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/phase_profiler.h"
+#include "src/policies/fleetio_policy.h"
 #include "src/virt/channel_allocator.h"
 
 namespace fleetio {
@@ -170,26 +172,135 @@ driveTwoTenants(Testbed &tb)
     tb.stopWorkloads();
 }
 
+/** 64-bit FNV-1a of an artifact's bytes. */
+std::uint64_t
+digest(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Every artifact a testbed with all four obs sinks writes, in the
+ *  order the harness writes them. */
+struct Artifacts
+{
+    std::string trace, metrics_csv, metrics_json, attribution;
+};
+
+TestbedOptions
+allSinks(TestbedOptions opts)
+{
+    opts.obs.trace = true;
+    opts.obs.metrics = true;
+    opts.obs.attribution = true;
+    opts.obs.drift = true;
+    return opts;
+}
+
+Artifacts
+artifacts(Testbed &tb)
+{
+    std::ostringstream t, c, j, a;
+    tb.tracer()->writeChromeJson(t);
+    tb.metrics()->writeCsv(c);
+    tb.metrics()->writeJson(j);
+    tb.attribution()->writeJson(a, tb.drift());
+    return {t.str(), c.str(), j.str(), a.str()};
+}
+
+/**
+ * Compare each artifact's digest with its committed value. A changed
+ * digest is a reviewed edit: take the "got" value from the failure
+ * and give the reason for the change in CHANGES.md.
+ */
+void
+expectDigests(const Artifacts &a, std::uint64_t trace,
+              std::uint64_t metrics_csv, std::uint64_t metrics_json,
+              std::uint64_t attribution)
+{
+    EXPECT_EQ(digest(a.trace), trace)
+        << "trace digest: got 0x" << std::hex << digest(a.trace);
+    EXPECT_EQ(digest(a.metrics_csv), metrics_csv)
+        << "metrics CSV digest: got 0x" << std::hex
+        << digest(a.metrics_csv);
+    EXPECT_EQ(digest(a.metrics_json), metrics_json)
+        << "metrics JSON digest: got 0x" << std::hex
+        << digest(a.metrics_json);
+    EXPECT_EQ(digest(a.attribution), attribution)
+        << "attribution digest: got 0x" << std::hex
+        << digest(a.attribution);
+}
+
+/** A Software Isolation cell (VDI-Web + TeraSort sharing every channel
+ *  under token buckets and stride) with all four sinks on. */
+Artifacts
+softwareIsolationCell()
+{
+    TestbedOptions opts = allSinks(obsOptions());
+    Testbed tb(opts);
+    auto policy = makePolicy(PolicyKind::kSoftwareIsolation);
+    policy->setup(tb, {WorkloadKind::kVdiWeb, WorkloadKind::kTeraSort},
+                  {msec(2), msec(30)});
+    tb.warmupFill();
+    tb.startWorkloads();
+    tb.run(msec(200));
+    policy->prepare(tb);
+    policy->beforeMeasure(tb);
+    tb.beginMeasurement();
+    tb.run(msec(500));
+    tb.endMeasurement();
+    tb.stopWorkloads();
+    return artifacts(tb);
+}
+
 TEST(MetricsPipeline, TimeSeriesGoldenIsReproducible)
 {
-    std::string csv[2], trace[2];
-    for (int r = 0; r < 2; ++r) {
-        Testbed tb(obsOptions());
-        driveTwoTenants(tb);
-        ASSERT_NE(tb.metrics(), nullptr);
-        ASSERT_NE(tb.tracer(), nullptr);
-        std::ostringstream c, t;
-        tb.metrics()->writeCsv(c);
-        tb.tracer()->writeChromeJson(t);
-        csv[r] = c.str();
-        trace[r] = t.str();
-    }
-    EXPECT_EQ(csv[0], csv[1]);
-    EXPECT_EQ(trace[0], trace[1]);
+    const Artifacts a = softwareIsolationCell();
+    const Artifacts b = softwareIsolationCell();
+    EXPECT_EQ(a.trace, b.trace);
+    EXPECT_EQ(a.metrics_csv, b.metrics_csv);
+    EXPECT_EQ(a.metrics_json, b.metrics_json);
+    EXPECT_EQ(a.attribution, b.attribution);
     // Both tenants produce rows; ~10 windows plus the trailing flush.
-    EXPECT_NE(csv[0].find("t0.latency_ns"), std::string::npos);
-    EXPECT_NE(csv[0].find("t1.latency_ns"), std::string::npos);
-    EXPECT_NE(csv[0].find("device.utilization"), std::string::npos);
+    EXPECT_NE(a.metrics_csv.find("t0.latency_ns"), std::string::npos);
+    EXPECT_NE(a.metrics_csv.find("t1.latency_ns"), std::string::npos);
+    EXPECT_NE(a.metrics_csv.find("device.utilization"),
+              std::string::npos);
+    expectDigests(a, 0xf654e7f57f33ea22ull, 0x491d118c9d88e425ull,
+                  0x430ddaac262e5b0eull, 0x319dd00b1b0074b4ull);
+}
+
+TEST(MetricsPipeline, FleetIoArtifactsMatchCommittedDigests)
+{
+    // The drift test's FleetIO cell (30 training windows, then a
+    // mid-measurement workload swap) with all four sinks on: decide,
+    // reward, gSB and drift events all reach the artifacts.
+    TestbedOptions opts;
+    opts.geo = testGeometry();
+    opts.window = msec(50);
+    Testbed tb(allSinks(opts));
+    FleetIoPolicy::Variant v;
+    v.train_windows = 30;
+    FleetIoPolicy p(v);
+    p.setup(tb, {WorkloadKind::kVdiWeb, WorkloadKind::kTeraSort},
+            {msec(2), msec(30)});
+    tb.warmupFill();
+    tb.startWorkloads();
+    tb.run(msec(500));
+    p.prepare(tb);
+    p.beforeMeasure(tb);
+    tb.beginMeasurement();
+    tb.run(msec(500));
+    tb.workload(0).morphTo(profileFor(WorkloadKind::kPageRank, 2.0));
+    tb.run(msec(500));
+    tb.endMeasurement();
+    expectDigests(artifacts(tb), 0xf2c25bd2b8a57c48ull,
+                  0xc231ab944c58f91bull, 0x5afbbd11468759ffull,
+                  0xc41417fcaa43f869ull);
 }
 
 TEST(MetricsPipeline, AggregatesMatchTenantStatistics)
