@@ -9,7 +9,7 @@
  *     and per-thread rings must not perturb the simulation).
  *  2. Disabled overhead < 2 % — measured as a bound, not a race of two
  *     wall clocks: the per-call cost of the null-guarded
- *     FLEETIO_TRACE_EVENT macro (microbenchmarked) times the trace-call
+ *     FLEETIO_OBS macro (microbenchmarked) times the trace-call
  *     density of a real run (calls per simulation event, read off an
  *     enabled run's recorder) over the per-event simulation cost of an
  *     untraced run. Run-to-run noise cancels out of the bound, so the
@@ -24,7 +24,6 @@
 
 #include "bench/bench_common.h"
 #include "src/harness/testbed.h"
-#include "src/obs/trace.h"
 #include "src/virt/channel_allocator.h"
 
 using namespace fleetio;
@@ -92,7 +91,7 @@ driveCell(bool obs_on, SimTime measure)
 double
 disabledMacroNs(std::uint64_t iters)
 {
-    obs::TraceRecorder *volatile tracer = nullptr;
+    obs::ObsHub *volatile hub = nullptr;
     // Baseline: the loop itself.
     volatile std::uint64_t sink = 0;
     auto t0 = std::chrono::steady_clock::now();
@@ -103,7 +102,7 @@ disabledMacroNs(std::uint64_t iters)
     t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         sink = sink + 1;
-        FLEETIO_TRACE_EVENT(tracer, windowBoundary(i, i));
+        FLEETIO_OBS(hub, decisionWindow(i, i));
     }
     const double macro_sec = secondsSince(t0);
     const double delta = macro_sec - loop_sec;

@@ -98,15 +98,12 @@ FleetIoController::removeVssd(VssdId id)
             continue;
         if (supervisor_ != nullptr)
             supervisor_->detach(id);
-        if (drift_ != nullptr)
-            drift_->removeAgent(id);
+        FLEETIO_OBS(gsb_.device().obs(), agentRemoved(id));
         extractor_.reset(id);
         managed_.erase(managed_.begin() + std::ptrdiff_t(i));
         agents_.clear();
         for (auto &m : managed_)
             agents_.push_back(m.agent.get());
-        // Gauges are cached by managed index; positions shifted.
-        reward_gauges_.clear();
         return true;
     }
     return false;
@@ -212,6 +209,7 @@ FleetIoController::start()
     if (running_)
         return;
     running_ = true;
+    FLEETIO_OBS(gsb_.device().obs(), controllerStarted());
     admission_.start();
     scheduleTick();
 }
@@ -272,10 +270,8 @@ FleetIoController::tick()
     if (n == 0)
         return;
     ++windows_;
-    FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                        windowBoundary(eq_.now(), windows_));
-    if (windows_counter_ != nullptr)
-        windows_counter_->observe(windows_);
+    obs::ObsHub *const hub = gsb_.device().obs();
+    FLEETIO_OBS(hub, decisionWindow(eq_.now(), windows_));
 
     // 1. Per-vSSD window metrics (before rolling the windows).
     const SimTime win = cfg_.decision_window;
@@ -309,18 +305,7 @@ FleetIoController::tick()
         agent.completeTransition(reward);
         m.reward_sum += reward;
         ++m.reward_count;
-        FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                            agentReward(eq_.now(), m.vssd->id(),
-                                        reward));
-        if (metrics_ != nullptr) {
-            if (reward_gauges_.size() <= i)
-                reward_gauges_.resize(n, nullptr);
-            if (reward_gauges_[i] == nullptr) {
-                reward_gauges_[i] = &metrics_->gauge(
-                    "t" + std::to_string(m.vssd->id()) + ".reward");
-            }
-            reward_gauges_[i]->set(reward);
-        }
+        FLEETIO_OBS(hub, agentReward(eq_.now(), m.vssd->id(), reward));
 
         if (classifier_ != nullptr && feature_provider_) {
             if (auto f = feature_provider_(m.vssd->id())) {
@@ -358,33 +343,18 @@ FleetIoController::tick()
         } else {
             action = agent.decide(state);
         }
-        FLEETIO_TRACE_EVENT(gsb_.device().tracer(),
-                            agentDecide(eq_.now(), m.vssd->id(),
-                                        actionCode(action)));
-        if (drift_ != nullptr)
-            drift_->recordAction(m.vssd->id(), actionCode(action));
+        FLEETIO_OBS(hub,
+                    agentDecide(eq_.now(), m.vssd->id(), actionCode(action)));
         applyAction(m, action);
     }
 
-    // 3b. Close the drift window and surface the scores (informational
+    // 3b. Close the drift window and surface fresh flags (informational
     // only — nothing here feeds back into a decision).
-    if (drift_ != nullptr) {
-        drift_->rollWindow();
+    FLEETIO_OBS(hub, closeDriftWindow());
+    if (hub != nullptr && supervisor_ != nullptr) {
         for (auto &m : managed_) {
-            const obs::DriftMonitor::Score s =
-                drift_->latest(m.vssd->id());
-            if (metrics_ != nullptr) {
-                const std::string base =
-                    "t" + std::to_string(m.vssd->id());
-                metrics_->gauge(base + ".drift_psi").set(s.psi);
-                metrics_->gauge(base + ".drift_kl").set(s.kl);
-            }
-            // `latest` sticks around after a quiet window; only a
-            // score minted by this roll counts as a fresh flag.
-            if (s.flagged && s.window == drift_->windowsSeen() &&
-                supervisor_ != nullptr) {
+            if (hub->driftFlagged(m.vssd->id()))
                 supervisor_->noteDrift(m.vssd->id());
-            }
         }
     }
 

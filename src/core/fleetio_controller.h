@@ -24,9 +24,6 @@
 #include "src/core/reward.h"
 #include "src/core/state_extractor.h"
 #include "src/harvest/gsb_manager.h"
-#include "src/obs/drift.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/rl/checkpoint.h"
 #include "src/virt/vssd.h"
 
@@ -129,29 +126,6 @@ class FleetIoController
     /** Aggregated supervision / resilience counters for reporting. */
     SupervisionStats supervisionStats() const;
 
-    /**
-     * Attach a metrics registry (nullptr = off, the default). Each tick
-     * then publishes per-tenant "t<id>.reward" gauges and the
-     * "controller.windows" counter.
-     */
-    void setMetrics(obs::MetricsRegistry *m)
-    {
-        metrics_ = m;
-        reward_gauges_.clear();
-        windows_counter_ =
-            m != nullptr ? &m->counter("controller.windows") : nullptr;
-    }
-
-    /**
-     * Attach an agent drift monitor (nullptr = off, the default). Each
-     * tick then records every agent's action code, closes the drift
-     * window, publishes per-tenant "t<id>.drift_psi" / "t<id>.drift_kl"
-     * gauges (when metrics are on), and surfaces flagged windows to the
-     * supervisor as informational telemetry. Never feeds back into
-     * decisions: a monitored run decides bit-identically.
-     */
-    void setDriftMonitor(obs::DriftMonitor *d) { drift_ = d; }
-
   private:
     struct Managed
     {
@@ -184,10 +158,6 @@ class FleetIoController
 
     std::unique_ptr<AgentSupervisor> supervisor_;
     RewardHook reward_hook_;
-    obs::MetricsRegistry *metrics_ = nullptr;
-    obs::DriftMonitor *drift_ = nullptr;
-    obs::Counter *windows_counter_ = nullptr;
-    std::vector<obs::Gauge *> reward_gauges_;  // by managed index
     std::string checkpoint_dir_;
     int checkpoint_interval_ = 0;
     std::uint64_t disk_checkpoints_ = 0;

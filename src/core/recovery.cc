@@ -221,21 +221,21 @@ RecoveryManager::recover(const CrashShadow &shadow)
 void
 RecoveryManager::exportMetrics(const RecoveryReport &rep) const
 {
-    if (r_.metrics == nullptr)
-        return;
-    obs::MetricsRegistry &m = *r_.metrics;
-    m.gauge("recovery.rpo_ns").set(double(rep.rpo_ns));
-    m.gauge("recovery.rto_ns").set(double(rep.rto_ns));
-    m.gauge("recovery.scanned_pages").set(double(rep.scanned_pages));
-    m.gauge("recovery.replayed_records")
-        .set(double(rep.replayed_records));
-    m.gauge("recovery.torn_records").set(double(rep.torn_records));
-    m.gauge("recovery.restored_mappings")
-        .set(double(rep.restored_mappings));
-    m.gauge("recovery.checkpoint_fallback")
-        .set(rep.checkpoint_fallback ? 1.0 : 0.0);
-    m.gauge("recovery.leases_reconciled")
-        .set(double(rep.leases_reconciled));
+    obs::ObsHub *hub = r_.dev->obs();
+    FLEETIO_OBS(hub, setGauge("recovery.rpo_ns", double(rep.rpo_ns)));
+    FLEETIO_OBS(hub, setGauge("recovery.rto_ns", double(rep.rto_ns)));
+    FLEETIO_OBS(hub, setGauge("recovery.scanned_pages",
+                              double(rep.scanned_pages)));
+    FLEETIO_OBS(hub, setGauge("recovery.replayed_records",
+                              double(rep.replayed_records)));
+    FLEETIO_OBS(hub, setGauge("recovery.torn_records",
+                              double(rep.torn_records)));
+    FLEETIO_OBS(hub, setGauge("recovery.restored_mappings",
+                              double(rep.restored_mappings)));
+    FLEETIO_OBS(hub, setGauge("recovery.checkpoint_fallback",
+                              rep.checkpoint_fallback ? 1.0 : 0.0));
+    FLEETIO_OBS(hub, setGauge("recovery.leases_reconciled",
+                              double(rep.leases_reconciled)));
 }
 
 }  // namespace fleetio

@@ -16,7 +16,6 @@
 #include "src/core/fleetio_controller.h"
 #include "src/harvest/gsb_manager.h"
 #include "src/harvest/harvested_block_table.h"
-#include "src/obs/metrics.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/durability.h"
 #include "src/ssd/flash_device.h"
@@ -101,8 +100,7 @@ class RecoveryManager
         VssdManager *vssds = nullptr;
         GsbManager *gsb = nullptr;
         IoScheduler *sched = nullptr;
-        FleetIoController *ctrl = nullptr;      ///< optional (RL runs)
-        obs::MetricsRegistry *metrics = nullptr;  ///< optional
+        FleetIoController *ctrl = nullptr;  ///< optional (RL runs)
     };
 
     explicit RecoveryManager(const Refs &refs) : r_(refs) {}

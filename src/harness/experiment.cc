@@ -251,10 +251,10 @@ runExperiment(const ExperimentSpec &spec)
                 std::fprintf(stderr,
                              "fleetio: trace ring overwrote %llu "
                              "event(s) (%s.trace.json is truncated; "
-                             "raise obs.trace_capacity)\n",
+                             "each thread's ring keeps the last %zu)\n",
                              (unsigned long long)
                                  tb.tracer()->droppedCount(),
-                             base.c_str());
+                             base.c_str(), obs::ObsHub::kTraceRingEvents);
             }
         }
         if (tb.attribution() != nullptr) {

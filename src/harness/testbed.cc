@@ -24,29 +24,13 @@ Testbed::Testbed(const TestbedOptions &opts)
     vssds_.setOnErased([this](ChannelId ch, ChipId chip, BlockId blk) {
         gsb_.onBlockErased(ch, chip, blk);
     });
-    if (opts_.obs.trace) {
-        tracer_ = std::make_unique<obs::TraceRecorder>(
-            opts_.obs.trace_capacity);
-        dev_.setTracer(tracer_.get());
-    }
-    if (opts_.obs.metrics)
-        sched_.setMetrics(&metrics_);
-    if (opts_.obs.attribution) {
-        obs::AttributionHub::Config ac;
-        ac.channels = opts_.geo.num_channels;
-        ac.chips = std::size_t(opts_.geo.num_channels) *
-                   opts_.geo.chips_per_channel;
-        ac.top_k = opts_.obs.attr_top_k;
-        attr_ = std::make_unique<obs::AttributionHub>(ac);
-        dev_.setAttribution(attr_.get());
-        if (opts_.obs.metrics)
-            attr_->setMetrics(&metrics_);
-    }
-    if (opts_.obs.drift) {
-        obs::DriftMonitor::Config dc;
-        dc.baseline_windows = opts_.obs.drift_baseline_windows;
-        dc.psi_threshold = opts_.obs.drift_psi_threshold;
-        drift_ = std::make_unique<obs::DriftMonitor>(dc);
+    if (opts_.obs.any()) {
+        obs_ = std::make_unique<obs::ObsHub>(
+            opts_.obs, opts_.geo.num_channels,
+            std::size_t(opts_.geo.num_channels) *
+                opts_.geo.chips_per_channel,
+            opts_.window);
+        dev_.setObs(obs_.get());
     }
     if (opts_.churn.enabled()) {
         elastic_ = std::make_unique<ElasticTenancyManager>(
@@ -142,12 +126,7 @@ Testbed::addTenant(WorkloadKind kind,
         profile, eq_, sched_, v.id(), v.ftl().logicalPages(),
         tenant_seed_));
     kinds_.push_back(kind);
-    if (attr_ != nullptr)
-        attr_->setSlo(v.id(), slo);
-    FLEETIO_TRACE_EVENT(tracer_.get(),
-                        setTrackName(obs::tenantTrack(v.id()),
-                                     cfg.name + "-" +
-                                         std::to_string(v.id())));
+    FLEETIO_OBS(obs_.get(), tenantAdded(v.id(), cfg.name, slo));
     return v;
 }
 
@@ -216,18 +195,7 @@ Testbed::beginMeasurement()
     measuring_ = true;
     measure_start_ = eq_.now();
     last_sample_ = eq_.now();
-    window_index_ = 0;
-    if (opts_.obs.metrics)
-        metrics_.markBaseline(eq_.now());
-    if (attr_ != nullptr)
-        attr_->markBaseline();
-    if (drift_ != nullptr)
-        drift_->markBaseline();
-    if (opts_.obs.metrics || tracer_ != nullptr) {
-        last_tenant_bytes_.assign(vssds_.size(), 0);
-        for (auto *v : vssds_.active())
-            last_tenant_bytes_[v->id()] = v->bandwidth().totalBytes();
-    }
+    FLEETIO_OBS(obs_.get(), measurementStarted(eq_.now(), tenantSamples()));
     sampleUtilization();
 }
 
@@ -243,77 +211,26 @@ Testbed::sampleUtilization()
             util_samples_.push_back(util);
             dev_.resetBusyWindow();
             last_sample_ = eq_.now();
-            observeWindow(util);
+            FLEETIO_OBS(obs_.get(),
+                        windowClosed(eq_.now(), util, sched_.queuedOps(),
+                                     sched_.dispatchedOps(),
+                                     tenantSamples()));
         }
         sampleUtilization();
     });
 }
 
-/** Per-window obs hook: snapshot the metrics registry and emit the
- *  window-boundary / counter-track trace events. No-op (never called
- *  on the hot path) when both obs switches are off. */
-void
-Testbed::observeWindow(double util)
+/** Every live tenant's bytes and effective tier, for the obs hub. */
+const std::vector<obs::TenantSample> &
+Testbed::tenantSamples()
 {
-    const SimTime now = eq_.now();
-    FLEETIO_TRACE_EVENT(tracer_.get(), windowBoundary(now, window_index_));
-    FLEETIO_TRACE_EVENT(tracer_.get(),
-                        counterSample(now, obs::kTrackController,
-                                      obs::CounterKind::kUtilization,
-                                      util));
-    FLEETIO_TRACE_EVENT(tracer_.get(),
-                        counterSample(now, obs::kTrackController,
-                                      obs::CounterKind::kQueueDepth,
-                                      double(sched_.queuedOps())));
-    if (tracer_ != nullptr) {
-        const double win_sec = toSeconds(opts_.window);
-        for (auto *v : vssds_.active()) {
-            const std::uint64_t total = v->bandwidth().totalBytes();
-            const std::uint64_t last =
-                v->id() < last_tenant_bytes_.size()
-                    ? last_tenant_bytes_[v->id()] : 0;
-            const double mbps =
-                double(total - last) / (1e6 * win_sec);
-            FLEETIO_TRACE_EVENT(
-                tracer_.get(),
-                counterSample(now, obs::tenantTrack(v->id()),
-                              obs::CounterKind::kBandwidthMBps, mbps));
-        }
+    obs_tenants_.clear();
+    obs_tenants_.reserve(vssds_.size());
+    for (auto *v : vssds_.active()) {
+        obs_tenants_.push_back(obs::TenantSample{
+            v->id(), v->bandwidth().totalBytes(), int(v->effectiveTier())});
     }
-    if (opts_.obs.metrics || tracer_ != nullptr) {
-        if (last_tenant_bytes_.size() < vssds_.size())
-            last_tenant_bytes_.resize(vssds_.size(), 0);
-        for (auto *v : vssds_.active())
-            last_tenant_bytes_[v->id()] = v->bandwidth().totalBytes();
-    }
-    rollAttributionWindow(now);
-    if (opts_.obs.metrics) {
-        metrics_.gauge("device.utilization").set(util);
-        metrics_.gauge("device.queued_ops")
-            .set(double(sched_.queuedOps()));
-        metrics_.counter("device.dispatched_ops")
-            .observe(sched_.dispatchedOps());
-        if (tracer_ != nullptr) {
-            metrics_.gauge("trace.dropped_events")
-                .set(double(tracer_->droppedCount()));
-        }
-        metrics_.snapshotWindow(now);
-    }
-    ++window_index_;
-}
-
-/** Close the attribution/drift window at @p now (no-op when off). The
- *  verdict engine sees each tenant's *effective* QoS tier so admission
- *  degradation outranks every other cause. */
-void
-Testbed::rollAttributionWindow(SimTime now)
-{
-    if (attr_ == nullptr)
-        return;
-    std::vector<int> tiers(vssds_.size(), 0);
-    for (auto *v : vssds_.active())
-        tiers[v->id()] = int(v->effectiveTier());
-    attr_->rollWindow(now, window_index_, tiers);
+    return obs_tenants_;
 }
 
 void
@@ -324,11 +241,8 @@ Testbed::endMeasurement()
         v->rollWindow();
     // Fold the trailing partial window so the time-series covers the
     // whole measured region and lifetime aggregates match run totals.
-    if (eq_.now() > last_sample_) {
-        rollAttributionWindow(eq_.now());
-        if (opts_.obs.metrics)
-            metrics_.snapshotWindow(eq_.now());
-    }
+    if (eq_.now() > last_sample_)
+        FLEETIO_OBS(obs_.get(), measurementEnded(eq_.now(), tenantSamples()));
 }
 
 RecoveryManager::Refs
@@ -344,7 +258,6 @@ Testbed::recoveryRefs()
     r.gsb = &gsb_;
     r.sched = &sched_;
     r.ctrl = ctrl_;
-    r.metrics = metrics();
     return r;
 }
 
@@ -434,10 +347,8 @@ Testbed::recoverFromCrash()
     RecoveryManager rm(recoveryRefs());
     recovery_report_ = rm.recover(shadow_);
     recovery_report_.acked_lost = auditAckedWrites();
-    if (metrics() != nullptr) {
-        metrics_.gauge("recovery.acked_lost")
-            .set(double(recovery_report_.acked_lost));
-    }
+    FLEETIO_OBS(obs_.get(), setGauge("recovery.acked_lost",
+                                     double(recovery_report_.acked_lost)));
 
     // Re-arm the volatile harness services the crash destroyed. Host
     // activity resumes once the simulated rebuild completes (RTO).

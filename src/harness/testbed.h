@@ -19,6 +19,7 @@
 #include "src/harvest/harvested_block_table.h"
 #include "src/obs/attribution.h"
 #include "src/obs/drift.h"
+#include "src/obs/hub.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
@@ -79,25 +80,11 @@ struct TestbedOptions
      *  keeps every run bit-identical to a fault-free device. */
     FaultConfig faults{};
 
-    /** Observability switches (DESIGN.md §9). Both default off, which
+    /** Observability sinks (DESIGN.md §9). All default off, which
      *  keeps the run bit-identical to a testbed without the obs layer:
-     *  no tracer is created, no metrics registry is attached, and the
-     *  window sampler does no extra work. */
-    struct ObsOptions
-    {
-        bool trace = false;    ///< record trace events (Perfetto export)
-        bool metrics = false;  ///< per-window metrics snapshots
-        std::size_t trace_capacity = std::size_t(1) << 16;
-
-        /** Latency attribution + SLO verdicts (DESIGN.md §13). */
-        bool attribution = false;
-        std::size_t attr_top_k = 16;
-
-        /** Agent drift monitors (PSI/KL vs recorded baseline). */
-        bool drift = false;
-        std::uint64_t drift_baseline_windows = 8;
-        double drift_psi_threshold = 0.25;
-    };
+     *  no hub is built and every instrumentation site is one pointer
+     *  test. */
+    using ObsOptions = obs::ObsSinks;
     ObsOptions obs{};
 
     /** Elastic-tenancy churn (DESIGN.md §11). An empty schedule keeps
@@ -157,22 +144,18 @@ class Testbed
     FaultInjector &faults() { return faults_; }
     const FaultCounters &faultCounters() const { return faults_.counters(); }
 
-    /** The run's trace recorder, or nullptr when opts.obs.trace is off. */
-    obs::TraceRecorder *tracer() { return tracer_.get(); }
-
-    /** The run's attribution hub, or nullptr when opts.obs.attribution
-     *  is off (the device's emit macros then cost one pointer test). */
-    obs::AttributionHub *attribution() { return attr_.get(); }
-
-    /** The run's agent drift monitor, or nullptr when opts.obs.drift is
-     *  off. Fed by the controller's decision loop. */
-    obs::DriftMonitor *drift() { return drift_.get(); }
-
-    /** The run's metrics registry, or nullptr when opts.obs.metrics is
-     *  off. Snapshotted once per window by the utilization sampler. */
+    /** The run's sinks, each nullptr when its switch is off. They are
+     *  for export and results; the simulation feeds them through the
+     *  hub. */
+    obs::TraceRecorder *tracer() { return obs_ ? obs_->tracer() : nullptr; }
+    obs::AttributionHub *attribution()
+    {
+        return obs_ ? obs_->attribution() : nullptr;
+    }
+    obs::DriftMonitor *drift() { return obs_ ? obs_->drift() : nullptr; }
     obs::MetricsRegistry *metrics()
     {
-        return opts_.obs.metrics ? &metrics_ : nullptr;
+        return obs_ ? obs_->metrics() : nullptr;
     }
 
     /**
@@ -265,8 +248,7 @@ class Testbed
     VssdId provisionTenant(const TenantDemand &demand,
                            const std::vector<ChannelId> &channels);
     void sampleUtilization();
-    void observeWindow(double util);
-    void rollAttributionWindow(SimTime now);
+    const std::vector<obs::TenantSample> &tenantSamples();
     RecoveryManager::Refs recoveryRefs();
     void onCrash();
     void recordAck(const IoRequest &req);
@@ -283,10 +265,8 @@ class Testbed
     VssdManager vssds_;
     GsbManager gsb_;
     IoScheduler sched_;
-    std::unique_ptr<obs::TraceRecorder> tracer_;
-    std::unique_ptr<obs::AttributionHub> attr_;
-    std::unique_ptr<obs::DriftMonitor> drift_;
-    obs::MetricsRegistry metrics_;
+    std::unique_ptr<obs::ObsHub> obs_;
+    std::vector<obs::TenantSample> obs_tenants_;  ///< tenantSamples()
     std::unique_ptr<ElasticTenancyManager> elastic_;
     std::unique_ptr<DurabilityModel> durability_;
     std::unique_ptr<PowerLossInjector> injector_;
@@ -305,8 +285,6 @@ class Testbed
     SimTime last_sample_ = 0;
     std::vector<double> util_samples_;
     std::uint64_t tenant_seed_ = 0;
-    std::uint64_t window_index_ = 0;
-    std::vector<std::uint64_t> last_tenant_bytes_;
 };
 
 }  // namespace fleetio

@@ -141,24 +141,18 @@ GsbManager::createGsb(Vssd &home, std::uint32_t n_chls)
     gsbs_.emplace(raw->id(), std::move(gsb));
     pool_.insert(raw);
     ++created_;
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        gsbEvent(dev_.eventQueue().now(),
-                                 obs::TraceEventType::kGsbCreate,
-                                 home.id(), raw->id(), added));
+    FLEETIO_OBS(dev_.obs(),
+                gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kCreate,
+                         home.id(), raw->id(), added));
     return raw;
 }
 
 void
 GsbManager::reclaimLazily(Gsb *gsb)
 {
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        gsbEvent(dev_.eventQueue().now(),
-                                 obs::TraceEventType::kGsbReclaim,
-                                 gsb->homeVssd(), gsb->id(),
-                                 gsb->numChannels()));
-    FLEETIO_ATTR_EVENT(dev_.attribution(),
-                       noteHarvest(gsb->homeVssd(),
-                                   obs::HarvestNote::kReclaim));
+    FLEETIO_OBS(dev_.obs(),
+                gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kReclaim,
+                         gsb->homeVssd(), gsb->id(), gsb->numChannels()));
     gsb->setReclaiming();
     // Detach from the harvester's write path: no new data flows in.
     if (gsb->inUse()) {
@@ -239,14 +233,9 @@ GsbManager::revokeUnderPressure(VssdId home_id)
     for (Gsb *g : pool_gsbs) {
         if (!pool_.remove(g))
             continue;
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            gsbEvent(dev_.eventQueue().now(),
-                                     obs::TraceEventType::kGsbRevoke,
-                                     home_id, g->id(),
-                                     g->numChannels()));
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(home_id,
-                                       obs::HarvestNote::kRevoked));
+        FLEETIO_OBS(dev_.obs(),
+                    gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kRevoke,
+                             home_id, g->id(), g->numChannels()));
         destroyUnharvestedAfterPoolRemove(g);
         ++revoked_;
         revoked_any = true;
@@ -268,14 +257,9 @@ GsbManager::revokeUnderPressure(VssdId home_id)
         return av != bv ? av < bv : a->id() < b->id();
     });
     for (Gsb *g : in_use) {
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            gsbEvent(dev_.eventQueue().now(),
-                                     obs::TraceEventType::kGsbRevoke,
-                                     home_id, g->id(),
-                                     g->numChannels()));
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(home_id,
-                                       obs::HarvestNote::kRevoked));
+        FLEETIO_OBS(dev_.obs(),
+                    gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kRevoke,
+                             home_id, g->id(), g->numChannels()));
         reclaimLazily(g);
         ++revoked_;
         revoked_any = true;
@@ -389,14 +373,10 @@ GsbManager::forceReleaseHeld(VssdId harvester_id)
     std::uint32_t channels = 0;
     for (Gsb *g : held) {
         channels += g->numChannels();
-        FLEETIO_TRACE_EVENT(
-            dev_.tracer(),
-            gsbEvent(dev_.eventQueue().now(),
-                     obs::TraceEventType::kGsbForceRelease,
-                     harvester_id, g->id(), g->numChannels()));
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(harvester_id,
-                                       obs::HarvestNote::kRevoked));
+        FLEETIO_OBS(dev_.obs(),
+                    gsbEvent(dev_.eventQueue().now(),
+                             obs::GsbEvent::kForceRelease, harvester_id,
+                             g->id(), g->numChannels()));
         // reclaimLazily detaches the harvester's write path right away
         // (no new data lands in the gSB) and releases never-written
         // blocks instantly; the rest drain through the home GC.
@@ -477,14 +457,9 @@ GsbManager::harvest(VssdId harvester_id, double gsb_bw_mbps)
         harvester->ftl().addExternalSource(g);
         current += g->numChannels();
         ++harvested_;
-        FLEETIO_ATTR_EVENT(dev_.attribution(),
-                           noteHarvest(harvester_id,
-                                       obs::HarvestNote::kCreated));
-        FLEETIO_TRACE_EVENT(dev_.tracer(),
-                            gsbEvent(dev_.eventQueue().now(),
-                                     obs::TraceEventType::kGsbHarvest,
-                                     harvester_id, g->id(),
-                                     g->numChannels()));
+        FLEETIO_OBS(dev_.obs(),
+                    gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kHarvest,
+                             harvester_id, g->id(), g->numChannels()));
     }
     return current;
 }
@@ -539,11 +514,9 @@ GsbManager::destroyUnharvestedAfterPoolRemove(Gsb *gsb)
     if (home != nullptr && returned > 0)
         home->ftl().onBlocksReclaimed(returned);
     ++reclaimed_;
-    FLEETIO_TRACE_EVENT(dev_.tracer(),
-                        gsbEvent(dev_.eventQueue().now(),
-                                 obs::TraceEventType::kGsbDestroy,
-                                 gsb->homeVssd(), gsb->id(),
-                                 gsb->numChannels()));
+    FLEETIO_OBS(dev_.obs(),
+                gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kDestroy,
+                         gsb->homeVssd(), gsb->id(), gsb->numChannels()));
     eraseGsbRecord(gsb->id());
 }
 

@@ -64,7 +64,7 @@ class GsbManager
     GsbPool &pool() { return pool_; }
     const GsbPool &pool() const { return pool_; }
 
-    /** The underlying device (tracer hub access for the supervisor). */
+    /** The underlying device (obs hub access for the supervisor). */
     FlashDevice &device() { return dev_; }
 
     /**

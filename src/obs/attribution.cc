@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <ostream>
-#include <string>
 
 #include "src/obs/drift.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
 #include "src/virt/io_request.h"
 
 namespace fleetio::obs {
@@ -382,7 +380,6 @@ AttributionHub::rollWindow(SimTime /*now*/, std::uint64_t window,
 {
     for (VssdId id = 0; id < tenants_.size(); ++id) {
         Tenant &t = tenants_[id];
-        double cause_gauge = 0.0;
         const bool violating =
             t.window_requests > 0 && t.window_violations > 0 &&
             double(t.window_violations) / double(t.window_requests) >
@@ -433,19 +430,12 @@ AttributionHub::rollWindow(SimTime /*now*/, std::uint64_t window,
             }
             verdicts_.push_back(v);
             ++verdict_counts_[std::size_t(v.cause)];
-            cause_gauge = double(int(v.cause)) + 1.0;
-        }
-        if (metrics_ != nullptr && t.requests > 0) {
-            metrics_->gauge("t" + std::to_string(id) + ".slo_cause")
-                .set(cause_gauge);
         }
         t.window = {};
         t.window_requests = 0;
         t.window_violations = 0;
         t.window_self_gc = 0;
     }
-    if (metrics_ != nullptr)
-        metrics_->counter("attr.verdicts").observe(verdicts_.size());
     for (auto &row : window_blame_)
         std::fill(row.begin(), row.end(), 0);
     std::fill(window_inflicted_.begin(), window_inflicted_.end(), 0);

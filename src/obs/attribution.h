@@ -14,10 +14,11 @@
  * the tenant (and mechanism: GC / harvest / plain contention) that
  * inflicted it — that is the `blame[victim][culprit]` matrix.
  *
- * Everything here follows the obs-layer byte-identity contract: with
- * no AttributionHub installed the instrumentation macros evaluate
- * nothing, construct nothing, and the experiment output is
- * byte-identical to a build without this file.
+ * Everything here follows the obs-layer byte-identity contract: the
+ * sink is reached only through the ObsHub (src/obs/hub.h), so with
+ * attribution off the instrumentation sites evaluate nothing,
+ * construct nothing, and the experiment output is byte-identical to a
+ * build without this file.
  */
 #pragma once
 
@@ -26,12 +27,12 @@
 #include <iosfwd>
 #include <vector>
 
+#include "src/obs/hub.h"
 #include "src/sim/types.h"
 
 namespace fleetio::obs {
 
 class DriftMonitor;
-class MetricsRegistry;
 
 /**
  * Latency stages. The per-request decomposition telescopes exactly:
@@ -68,13 +69,6 @@ const char *stageName(Stage s);
  *  blame matrix conserves exactly this subset: a victim's row sum
  *  equals its wait-stage sum. */
 bool isWaitStage(Stage s);
-
-/** Who/what an occupancy segment belongs to. */
-enum class SegKind : std::uint8_t {
-    kHostOp = 0,  ///< host I/O on the owner's own channels
-    kGcOp,        ///< garbage-collection read/program/erase
-    kHarvestOp,   ///< host write harvested onto a foreign channel
-};
 
 /** Root causes the verdict engine can assign to a violating window. */
 enum class VerdictCause : std::uint8_t {
@@ -124,11 +118,10 @@ enum class HarvestNote : std::uint8_t {
 inline constexpr std::size_t kNumHarvestNotes = 3;
 
 /**
- * The attribution hub. One per testbed, installed on the FlashDevice
- * next to the tracer; all emit methods below are reached through the
- * FLEETIO_ATTR_EVENT / FLEETIO_ATTR_SCOPE null-guard macros so a null
- * hub costs one pointer test. One thread uses a hub at a time, like
- * the simulation it belongs to; it has no locks.
+ * The attribution sink. One per testbed, owned by its ObsHub, which
+ * forwards the device, scheduler and gSB events below to it. One
+ * thread uses a sink at a time, like the simulation it belongs to; it
+ * has no locks.
  */
 class AttributionHub
 {
@@ -148,17 +141,14 @@ class AttributionHub
     /** Register/refresh a tenant's latency SLO (kTimeNever = none). */
     void setSlo(VssdId id, SimTime slo);
 
-    /** Per-window metrics export target (optional). */
-    void setMetrics(MetricsRegistry *m) { metrics_ = m; }
-
-    // --- arm stack (use FLEETIO_ATTR_SCOPE, not direct calls) ----------
+    // --- arm stack (ObsHub::Scope) -------------------------------------
 
     /** Arm: subsequent device issues belong to @p tenant via @p kind. */
     void pushContext(VssdId tenant, SegKind kind);
     void popContext();
     bool armed() const { return ctx_depth_ > 0; }
 
-    // --- device-side emits (FlashDevice, via FLEETIO_ATTR_EVENT) ------
+    // --- device-side emits (FlashDevice) -------------------------------
 
     /**
      * A read was reserved: chip occupancy [max(now, chip_free),
@@ -209,8 +199,8 @@ class AttributionHub
     /**
      * Close the current window: run the verdict engine over every
      * tenant whose violating fraction exceeded the threshold
-     * (@p tiers[id] > 0 means the tenant sits in a degradation tier),
-     * publish verdict gauges, and reset the window accumulators.
+     * (@p tiers[id] > 0 means the tenant sits in a degradation tier)
+     * and reset the window accumulators.
      */
     void rollWindow(SimTime now, std::uint64_t window,
                     const std::vector<int> &tiers);
@@ -224,6 +214,12 @@ class AttributionHub
     // --- results -------------------------------------------------------
 
     std::uint64_t requests() const { return requests_; }
+
+    /** Requests @p id completed since markBaseline. */
+    std::uint64_t requests(VssdId id) const
+    {
+        return id < tenants_.size() ? tenants_[id].requests : 0;
+    }
     std::uint64_t violations() const { return violations_; }
 
     /** Requests whose stage sum differed from end-to-end latency
@@ -318,7 +314,6 @@ class AttributionHub
                    std::array<SimTime, kNumStages> &stages);
 
     Config cfg_;
-    MetricsRegistry *metrics_ = nullptr;
 
     std::vector<SegRing> bus_;    ///< one ledger per channel bus
     std::vector<SegRing> chip_;   ///< one ledger per chip
@@ -349,49 +344,4 @@ class AttributionHub
     std::uint64_t sum_mismatches_ = 0;
 };
 
-/**
- * RAII arm scope: device issues inside the scope are attributed to
- * @p tenant with occupancy kind @p kind. Null hub = no-op. Use via
- * FLEETIO_ATTR_SCOPE.
- */
-class AttributionScope
-{
-  public:
-    AttributionScope(AttributionHub *hub, VssdId tenant, SegKind kind)
-        : hub_(hub)
-    {
-        if (hub_ != nullptr)
-            hub_->pushContext(tenant, kind);
-    }
-    ~AttributionScope()
-    {
-        if (hub_ != nullptr)
-            hub_->popContext();
-    }
-    AttributionScope(const AttributionScope &) = delete;
-    AttributionScope &operator=(const AttributionScope &) = delete;
-
-  private:
-    AttributionHub *hub_;
-};
-
 }  // namespace fleetio::obs
-
-/**
- * Null-guarded attribution emit, mirroring FLEETIO_TRACE_EVENT: the
- * hub expression is evaluated once; the emit call (and its argument
- * expressions) only run when a hub is installed.
- */
-#define FLEETIO_ATTR_EVENT(hub_expr, call)                                \
-    do {                                                                  \
-        ::fleetio::obs::AttributionHub *fio_attr__ = (hub_expr);          \
-        if (fio_attr__ != nullptr)                                        \
-            fio_attr__->call;                                             \
-    } while (0)
-
-/** RAII stage-timer scope; lives until the end of the enclosing block. */
-#define FLEETIO_ATTR_SCOPE(hub_expr, tenant, kind)                        \
-    ::fleetio::obs::AttributionScope fio_attr_scope__                     \
-    {                                                                     \
-        (hub_expr), (tenant), (kind)                                      \
-    }

@@ -5,10 +5,10 @@
  * trace-event JSON loadable in Perfetto / chrome://tracing.
  *
  * Design constraints, in order:
- *  - Zero behaviour change when disabled. Instrumentation sites guard on
- *    a nullable TraceRecorder pointer (FLEETIO_TRACE_EVENT below); a
- *    null recorder means one pointer test per site and nothing else —
- *    no RNG draws, no time reads, no allocation.
+ *  - Zero behaviour change when disabled. Instrumentation sites reach
+ *    the recorder only through the ObsHub (src/obs/hub.h), whose
+ *    FLEETIO_OBS guard makes an obs-off run one pointer test per site
+ *    and nothing else — no RNG draws, no time reads, no allocation.
  *  - Contention-free under the parallel harness. Each worker thread
  *    records into its own ring (thread_local lookup cached on the
  *    recorder's unique id); the recorder's mutex is only taken on a
@@ -301,14 +301,3 @@ bool traceEnabledFromEnv();
 std::string traceDirFromEnv();
 
 }  // namespace fleetio::obs
-
-/**
- * Instrumentation-site guard: evaluates @p tracer_expr once, records via
- * the emit-helper @p call when non-null.
- */
-#define FLEETIO_TRACE_EVENT(tracer_expr, call)                        \
-    do {                                                              \
-        ::fleetio::obs::TraceRecorder *fio_tr__ = (tracer_expr);      \
-        if (fio_tr__ != nullptr)                                      \
-            fio_tr__->call;                                           \
-    } while (0)

@@ -113,8 +113,6 @@ FleetIoPolicy::setup(Testbed &tb,
 
     controller_ = std::make_unique<FleetIoController>(
         cfg, tb.eq(), tb.vssds(), tb.gsb());
-    controller_->setMetrics(tb.metrics());
-    controller_->setDriftMonitor(tb.drift());
     for (auto *v : tb.vssds().active()) {
         const WorkloadKind kind = tb.tenantKind(v->id());
         const double alpha = variant_.customized_alpha

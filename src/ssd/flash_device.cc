@@ -66,11 +66,11 @@ FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
     const SimTime bus_free = chan.busBusyUntil();
     const SimTime complete = chan.reserveBus(read_done, xfer);
     chan.accountBusy(xfer);
-    FLEETIO_ATTR_EVENT(
-        attribution_,
-        noteRead(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
-                 eq_.now(), chip_free, read_done,
-                 array_time - geo_.read_latency, bus_free, complete));
+    FLEETIO_OBS(obs_, noteRead(host, ch,
+                               std::size_t(ch) * geo_.chips_per_channel + cp,
+                               eq_.now(), chip_free, read_done,
+                               array_time - geo_.read_latency, bus_free,
+                               complete));
 
     if (host) {
         chan.addOutstanding();
@@ -83,9 +83,6 @@ FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
                        });
     } else {
         ++gc_reads_;
-        FLEETIO_TRACE_EVENT(
-            tracer_,
-            gcOp(eq_.now(), obs::TraceEventType::kGcRead, ch));
         // No bookkeeping on completion: schedule the callback itself
         // (the event queue tolerates a null one), skipping a wrapper
         // indirection.
@@ -113,10 +110,11 @@ FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
     chan.accountBusy(xfer);
     const SimTime chip_free = chp.busyUntil();
     const SimTime complete = chp.reserve(xfer_done, geo_.program_latency);
-    FLEETIO_ATTR_EVENT(
-        attribution_,
-        noteProgram(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
-                    eq_.now(), bus_free, xfer_done, chip_free, complete));
+    FLEETIO_OBS(obs_,
+                noteProgram(host, ch,
+                            std::size_t(ch) * geo_.chips_per_channel + cp,
+                            eq_.now(), bus_free, xfer_done, chip_free,
+                            complete));
 
     if (host) {
         chan.addOutstanding();
@@ -128,9 +126,6 @@ FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
         });
     } else {
         ++gc_writes_;
-        FLEETIO_TRACE_EVENT(
-            tracer_,
-            gcOp(eq_.now(), obs::TraceEventType::kGcProgram, ch));
     }
     eq_.scheduleAt(complete, std::move(done));
     return complete;
@@ -167,13 +162,10 @@ FlashDevice::issueErase(ChannelId ch, ChipId cp, Callback done)
     maybeSlowDown(chp);
     const SimTime chip_free = chp.busyUntil();
     const SimTime complete = chp.reserve(eq_.now(), geo_.erase_latency);
-    FLEETIO_ATTR_EVENT(
-        attribution_,
-        noteErase(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
-                  eq_.now(), chip_free, complete));
+    FLEETIO_OBS(obs_,
+                noteErase(ch, std::size_t(ch) * geo_.chips_per_channel + cp,
+                          eq_.now(), chip_free, complete));
     ++erases_;
-    FLEETIO_TRACE_EVENT(
-        tracer_, gcOp(eq_.now(), obs::TraceEventType::kGcErase, ch));
     eq_.scheduleAt(complete, std::move(done));
     return complete;
 }
@@ -244,10 +236,7 @@ FlashDevice::crashReset()
         chp.crashResetValidBits();
     for (auto &e : rmap_)
         e = RmapEntry{};
-    // Reservation accumulators just rewound to zero; stale occupancy
-    // segments would otherwise blame post-recovery waits on pre-crash
-    // tenants.
-    FLEETIO_ATTR_EVENT(attribution_, crashReset());
+    FLEETIO_OBS(obs_, powerLost());
 }
 
 bool

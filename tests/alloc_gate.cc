@@ -121,7 +121,7 @@ TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
     const Cell c = runCell(spec);
     ASSERT_NE(c.tb->tracer(), nullptr);
     ASSERT_NE(c.tb->attribution(), nullptr);
-    expectAllocs(c, 0, 30490);
+    expectAllocs(c, 0, 30432);
 }
 
 TEST(AllocGate, FleetIo)

@@ -1,4 +1,4 @@
-// Fixture: R3 trace-macro — raw TraceRecorder emit outside src/obs.
+// Fixture: R3 obs-macro — raw trace emit outside src/obs.
 namespace fixture {
 
 struct Tracer

@@ -1,4 +1,4 @@
-// Fixture: R8 attr-macro — raw AttributionHub emit outside src/obs.
+// Fixture: R3 obs-macro — raw attribution emit outside src/obs.
 namespace fixture {
 
 struct Hub

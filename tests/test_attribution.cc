@@ -439,11 +439,14 @@ TEST(Attribution, MacrosCompileToNothingWithoutAHub)
 {
     // The null-guard macro must evaluate its receiver once and skip
     // the call entirely on nullptr — this is the byte-identity
-    // contract's runtime half.
-    AttributionHub *hub = nullptr;
-    FLEETIO_ATTR_EVENT(hub, noteHarvest(0, HarvestNote::kCreated));
+    // contract's runtime half. The arm scope is a no-op too.
+    obs::ObsHub *hub = nullptr;
+    int receivers = 0;
+    FLEETIO_OBS((++receivers, hub),
+                gsbEvent(0, obs::GsbEvent::kHarvest, 0, 1, 2));
+    EXPECT_EQ(receivers, 1);
     {
-        FLEETIO_ATTR_SCOPE(hub, 0, SegKind::kGcOp);
+        const obs::ObsHub::Scope arm(hub, 0, SegKind::kGcOp);
     }
     SUCCEED();
 }

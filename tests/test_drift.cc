@@ -194,7 +194,6 @@ runDriftCell()
     opts.geo = testGeometry();
     opts.window = msec(50);
     opts.obs.drift = true;
-    opts.obs.drift_baseline_windows = 4;
     Testbed tb(opts);
     FleetIoPolicy::Variant v;
     v.train_windows = 30;
@@ -237,7 +236,10 @@ TEST(Drift, DeterministicAcrossHarnessJobCounts)
     EXPECT_TRUE(serial[0] == serial[1]);
     EXPECT_TRUE(serial[0] == threaded[0]);
     EXPECT_TRUE(serial[0] == threaded[1]);
+    // The default 8-window baseline leaves windows to score, and the
+    // swap shows up as flags.
     EXPECT_GT(serial[0].scored, 0u);
+    EXPECT_GT(serial[0].flagged, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * fleetio_lint against the seeded fixture tree under
- * tests/lint_fixtures/: every rule R1-R8 is proven live by a fixture
+ * tests/lint_fixtures/: every rule R1-R7 is proven live by a fixture
  * that trips it, a clean file stays clean, and the suppression
  * machinery both silences reasoned allows and flags reason-less ones.
  */
@@ -52,9 +52,8 @@ TEST(LintRegistry, ExposesAllRulesWithIssueTags)
     for (const RuleInfo &r : rs)
         ids.push_back(r.id);
     for (const char *want :
-         {"nondeterminism", "hotpath", "trace-macro", "layering",
-          "header-hygiene", "build-registration", "journal-api",
-          "attr-macro"}) {
+         {"nondeterminism", "hotpath", "obs-macro", "layering",
+          "header-hygiene", "build-registration", "journal-api"}) {
         EXPECT_NE(std::find(ids.begin(), ids.end(), want), ids.end())
             << "missing rule " << want;
     }
@@ -67,9 +66,9 @@ TEST(LintFixtures, FullRunFlagsEveryRule)
     EXPECT_EQ(r.files_scanned, 13u);
     EXPECT_EQ(r.suppressions_used, 2u);
     for (const char *rule :
-         {"nondeterminism", "hotpath", "trace-macro", "layering",
+         {"nondeterminism", "hotpath", "obs-macro", "layering",
           "header-hygiene", "build-registration", "journal-api",
-          "attr-macro", "suppression"}) {
+          "suppression"}) {
         const bool found = std::any_of(
             r.violations.begin(), r.violations.end(),
             [&](const Violation &v) { return v.rule == rule; });
@@ -101,12 +100,11 @@ TEST(LintFixtures, R2HotpathFlagsFunctionIostreamStoi)
 
 TEST(LintFixtures, R3TraceMacroFlagsRawEmit)
 {
-    const Result r = runRule("trace-macro");
-    const auto hits = inFile(r, "trace-macro", "trace_bad.cc");
+    const Result r = runRule("obs-macro");
+    const auto hits = inFile(r, "obs-macro", "trace_bad.cc");
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].line, 12);
-    EXPECT_NE(hits[0].message.find("FLEETIO_TRACE_EVENT"),
-              std::string::npos);
+    EXPECT_NE(hits[0].message.find("FLEETIO_OBS"), std::string::npos);
 }
 
 TEST(LintFixtures, R4LayeringFlagsSimIncludingRl)
@@ -164,12 +162,12 @@ TEST(LintFixtures, R7JournalApiFlagsDirectMutationAndHonorsAllow)
 
 TEST(LintFixtures, R8AttrMacroFlagsRawEmit)
 {
-    const Result r = runRule("attr-macro");
-    const auto hits = inFile(r, "attr-macro", "attr_bad.cc");
+    // The same rule as R3, on a sink emit in the data plane.
+    const Result r = runRule("obs-macro");
+    const auto hits = inFile(r, "obs-macro", "attr_bad.cc");
     ASSERT_EQ(hits.size(), 1u);
     EXPECT_EQ(hits[0].line, 12);
-    EXPECT_NE(hits[0].message.find("FLEETIO_ATTR_EVENT"),
-              std::string::npos);
+    EXPECT_NE(hits[0].message.find("FLEETIO_OBS"), std::string::npos);
 }
 
 TEST(LintFixtures, ReasonedSuppressionSilencesButReasonlessFires)

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/obs/hub.h"
 #include "src/obs/trace.h"
 
 namespace fleetio {
@@ -217,11 +218,13 @@ TEST(TraceRing, WraparoundKeepsNewestAndCountsDrops)
 
 TEST(TraceRecorder, MacroIsANoOpOnNullRecorder)
 {
-    TraceRecorder *null_tracer = nullptr;
+    obs::ObsHub *null_hub = nullptr;
     // Must compile and do nothing (the guard every instrumentation
-    // site in the simulator relies on).
-    FLEETIO_TRACE_EVENT(null_tracer, windowBoundary(123, 0));
-    SUCCEED();
+    // site in the simulator relies on): the emit's arguments are not
+    // even evaluated.
+    int evaluated = 0;
+    FLEETIO_OBS(null_hub, decisionWindow(123, std::uint64_t(++evaluated)));
+    EXPECT_EQ(evaluated, 0);
 }
 
 TEST(TraceRecorder, CountsEventsAndNamesTracks)

@@ -25,8 +25,8 @@ const std::vector<RuleInfo> kRules = {
     {"hotpath", "R2",
      "no std::function / iostream / throwing std::stoi-family in "
      "src/{sim,ssd,virt}"},
-    {"trace-macro", "R3",
-     "TraceRecorder emits outside src/obs go through FLEETIO_TRACE_EVENT"},
+    {"obs-macro", "R3",
+     "obs emits outside src/obs go through the ObsHub's FLEETIO_OBS"},
     {"layering", "R4",
      "src/{sim,ssd} must not include src/{rl,policies,harness,obs}; "
      "src/virt must not include the tenant control plane "
@@ -38,9 +38,6 @@ const std::vector<RuleInfo> kRules = {
     {"journal-api", "R7",
      "block-state mutations in src/{ssd,harvest} go through "
      "FlashDevice's durable* journal API"},
-    {"attr-macro", "R8",
-     "AttributionHub emits in src/{sim,ssd,virt,harvest} go through "
-     "FLEETIO_ATTR_EVENT / FLEETIO_ATTR_SCOPE"},
     {"suppression", "-",
      "fleetio-lint: allow(...) requires a non-empty reason"},
 };
@@ -424,61 +421,43 @@ checkHotPath(Ctx &ctx, FileInfo &f)
     }
 }
 
-// ------------------------------------------------------------ R3, R8
+// ----------------------------------------------------------------- R3
 
 /**
- * An emit family that code outside src/obs must call through its
- * null-guarding macro: a receiver-qualified call `x->m(` or `x.m(` on
- * a line that does not name the guard is a raw emit. Bare `m(` is the
+ * Emits that code outside src/obs must make through FLEETIO_OBS: the
+ * ObsHub's, plus the sinks' own, which only the hub may call. Export
+ * and introspection (writeJson, eventCount, driftFlagged, ...) are
+ * cold-path and exempt.
+ */
+const std::vector<const char *> kObsEmits = {
+    // ObsHub
+    "tenantAdded", "measurementStarted", "windowClosed",
+    "measurementEnded", "setGauge", "ioSubmit", "ioDispatch",
+    "finishHostPage", "zeroFillPage", "ioComplete", "noteRead",
+    "noteProgram", "noteErase", "powerLost", "gcBatch", "gsbEvent",
+    "controllerStarted", "decisionWindow", "agentReward", "agentDecide",
+    "agentTrip", "agentRemoved", "closeDriftWindow",
+    // sinks
+    "gcOp", "windowBoundary", "counterSample", "setTrackName",
+    "resetRequest", "recordRequest", "noteHarvest", "pushContext",
+    "popContext", "recordAction",
+};
+
+/**
+ * A receiver-qualified call `x->m(` or `x.m(` to an obs emit, on a
+ * line that does not name FLEETIO_OBS, is a raw emit. Bare `m(` is the
  * macro's second argument — already guarded.
  */
-struct GuardedEmits
-{
-    const char *rule;
-    bool (*in_scope)(const FileInfo &);
-    std::vector<const char *> emits;
-    const char *guard;  ///< a line naming this is already wrapped
-    const char *cls;    ///< the emitting class
-    const char *wrap;   ///< the macro call, up to the wrapped emit
-    const char *alt;    ///< other wrappers the message offers
-};
-
-const std::vector<GuardedEmits> kGuardedEmits = {
-    // TraceRecorder's emit-family methods. Export/introspection
-    // (writeChromeJson, eventCount, ...) are cold-path and exempt.
-    {"trace-macro",
-     [](const FileInfo &f) {
-         return f.under("src/") && !f.under("src/obs/");
-     },
-     {"ioSubmit", "ioDispatch", "ioComplete", "gcBatch", "gcOp",
-      "gsbEvent", "agentDecide", "agentReward", "agentTrip",
-      "windowBoundary", "counterSample", "setTrackName"},
-     "FLEETIO_TRACE_EVENT", "TraceRecorder",
-     "FLEETIO_TRACE_EVENT(tracer, ", ""},
-    // AttributionHub's emit-family methods. Export/introspection
-    // (writeJson, results, blame, ...) are cold-path and exempt.
-    {"attr-macro",
-     [](const FileInfo &f) {
-         return f.under("src/sim/") || f.under("src/ssd/") ||
-                f.under("src/virt/") || f.under("src/harvest/");
-     },
-     {"noteRead", "noteProgram", "noteErase", "finishHostPage",
-      "zeroFillPage", "recordRequest", "resetRequest", "noteHarvest",
-      "pushContext", "popContext"},
-     "FLEETIO_ATTR_", "AttributionHub", "FLEETIO_ATTR_EVENT(hub, ",
-     " or FLEETIO_ATTR_SCOPE"},
-};
-
 void
-checkGuardedEmits(Ctx &ctx, FileInfo &f, const GuardedEmits &g)
+checkObsMacro(Ctx &ctx, FileInfo &f)
 {
-    if (!g.in_scope(f))
+    if (!f.under("src/") || f.under("src/obs/"))
         return;
     for (std::size_t li = 0; li < f.code.size(); ++li) {
         const std::string &line = f.code[li];
-        if (line.empty() || line.find(g.guard) != std::string::npos)
+        if (line.empty() || line.find("FLEETIO_OBS") != std::string::npos)
             continue;
-        for (const char *m : g.emits) {
+        for (const char *m : kObsEmits) {
             for (std::size_t pos = line.find(m);
                  pos != std::string::npos;
                  pos = line.find(m, pos + 1)) {
@@ -496,11 +475,11 @@ checkGuardedEmits(Ctx &ctx, FileInfo &f, const GuardedEmits &g)
                     ++j;
                 if (j >= line.size() || line[j] != '(')
                     continue;
-                ctx.report(f, int(li) + 1, g.rule,
-                           std::string("raw ") + g.cls + "::" + m +
-                               " outside src/obs: wrap in " + g.wrap +
-                               m + "(...))" + g.alt +
-                               " so it null-guards");
+                ctx.report(f, int(li) + 1, "obs-macro",
+                           std::string("raw obs emit ") + m +
+                               " outside src/obs: emit through the hub, "
+                               "FLEETIO_OBS(hub, " + m +
+                               "(...)), so it null-guards");
             }
         }
     }
@@ -893,10 +872,8 @@ runLint(const std::string &root, const Options &opts)
             checkBuildRegistration(ctx, f);
         if (ctx.ruleEnabled("journal-api"))
             checkJournalApi(ctx, f);
-        for (const GuardedEmits &g : kGuardedEmits) {
-            if (ctx.ruleEnabled(g.rule))
-                checkGuardedEmits(ctx, f, g);
-        }
+        if (ctx.ruleEnabled("obs-macro"))
+            checkObsMacro(ctx, f);
     }
     if (ctx.ruleEnabled("layering"))
         checkLayering(ctx);
