@@ -102,7 +102,7 @@ disabledMacroNs(std::uint64_t iters)
     t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < iters; ++i) {
         sink = sink + 1;
-        FLEETIO_OBS(hub, decisionWindow(i, i));
+        FLEETIO_OBS(hub, decisionWindow(i));
     }
     const double macro_sec = secondsSince(t0);
     const double delta = macro_sec - loop_sec;

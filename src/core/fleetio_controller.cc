@@ -271,7 +271,7 @@ FleetIoController::tick()
         return;
     ++windows_;
     obs::ObsHub *const hub = gsb_.device().obs();
-    FLEETIO_OBS(hub, decisionWindow(eq_.now(), windows_));
+    FLEETIO_OBS(hub, decisionWindow(windows_));
 
     // 1. Per-vSSD window metrics (before rolling the windows).
     const SimTime win = cfg_.decision_window;

@@ -345,10 +345,11 @@ ObsHub::controllerStarted()
 }
 
 void
-ObsHub::decisionWindow(SimTime now, std::uint64_t window)
+ObsHub::decisionWindow(std::uint64_t window)
 {
-    if (trace_ != nullptr)
-        trace_->windowBoundary(now, window);
+    // The trace marks windows once, from windowClosed: the controller
+    // ticks at the sampler's instants, and the sampler's index is the
+    // one the metrics snapshots and attribution verdicts use.
     if (windows_ctr_ != nullptr)
         windows_ctr_->observe(window);
 }

@@ -206,7 +206,10 @@ class ObsHub
     // --- agents (FleetIoController, AgentSupervisor) ------------------
 
     void controllerStarted();
-    void decisionWindow(SimTime now, std::uint64_t window);
+
+    /** The controller closed decision window @p window (counted from
+     *  its start, not from the measurement). */
+    void decisionWindow(std::uint64_t window);
     void agentReward(SimTime now, VssdId v, double reward);
     void agentDecide(SimTime now, VssdId v, std::uint64_t action_code);
     void agentTrip(SimTime now, VssdId v, std::uint64_t reason);

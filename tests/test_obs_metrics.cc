@@ -298,8 +298,8 @@ TEST(MetricsPipeline, FleetIoArtifactsMatchCommittedDigests)
     tb.workload(0).morphTo(profileFor(WorkloadKind::kPageRank, 2.0));
     tb.run(msec(500));
     tb.endMeasurement();
-    expectDigests(artifacts(tb), 0xf2c25bd2b8a57c48ull,
-                  0xc231ab944c58f91bull, 0x5afbbd11468759ffull,
+    expectDigests(artifacts(tb), 0xe20a6c461882654eull,
+                  0xdac88a0f41367a8eull, 0x321c954312c13d12ull,
                   0xc41417fcaa43f869ull);
 }
 

@@ -1,14 +1,18 @@
 /** @file Tests for the trace recorder and Chrome JSON export. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "src/harness/testbed.h"
 #include "src/obs/hub.h"
 #include "src/obs/trace.h"
+#include "src/policies/fleetio_policy.h"
 
 namespace fleetio {
 namespace {
@@ -223,7 +227,7 @@ TEST(TraceRecorder, MacroIsANoOpOnNullRecorder)
     // site in the simulator relies on): the emit's arguments are not
     // even evaluated.
     int evaluated = 0;
-    FLEETIO_OBS(null_hub, decisionWindow(123, std::uint64_t(++evaluated)));
+    FLEETIO_OBS(null_hub, decisionWindow(std::uint64_t(++evaluated)));
     EXPECT_EQ(evaluated, 0);
 }
 
@@ -338,6 +342,54 @@ TEST(TraceRecorder, ExportIsSortedByTimestamp)
     ASSERT_NE(c, std::string::npos);
     EXPECT_LT(a, b);
     EXPECT_LT(b, c);
+}
+
+TEST(TraceRecorder, OneWindowInstantPerWindow)
+{
+    // A traced FleetIO cell: the controller ticks at the very instants
+    // the testbed's sampler closes its windows. Only the sampler marks
+    // a window, with the index the metrics snapshots and the
+    // attribution verdicts use, so each measured window appears once.
+    TestbedOptions opts;
+    opts.geo = testGeometry();
+    opts.window = msec(50);
+    opts.obs.trace = true;
+    Testbed tb(opts);
+    FleetIoPolicy::Variant v;
+    v.train_windows = 2;
+    FleetIoPolicy p(v);
+    p.setup(tb, {WorkloadKind::kVdiWeb, WorkloadKind::kTeraSort},
+            {msec(2), msec(30)});
+    tb.warmupFill();
+    tb.startWorkloads();
+    tb.run(msec(200));
+    p.prepare(tb);
+    p.beforeMeasure(tb);
+    tb.beginMeasurement();
+    tb.run(msec(500));
+    tb.endMeasurement();
+    ASSERT_EQ(tb.tracer()->droppedCount(), 0u);
+    std::ostringstream os;
+    tb.tracer()->writeChromeJson(os);
+    const std::string out = os.str();
+
+    const std::string key = "\"name\":\"window\",\"ts\":";
+    std::vector<std::string> stamps;
+    std::vector<std::uint64_t> indices;
+    for (std::size_t pos = out.find(key); pos != std::string::npos;
+         pos = out.find(key, pos + 1)) {
+        const std::size_t ts = pos + key.size();
+        stamps.push_back(out.substr(ts, out.find(',', ts) - ts));
+        const std::size_t idx = out.find("\"index\":", ts) + 8;
+        indices.push_back(std::stoull(out.substr(idx)));
+    }
+    // 500 ms of 50 ms windows, indexed from 0.
+    ASSERT_EQ(stamps.size(), 10u);
+    EXPECT_EQ(std::set<std::string>(stamps.begin(), stamps.end()).size(),
+              stamps.size())
+        << "a window timestamp appears twice";
+    for (std::size_t i = 0; i < indices.size(); ++i)
+        EXPECT_EQ(indices[i], i);
 }
 
 TEST(TraceEnv, EnableKnobSemantics)
