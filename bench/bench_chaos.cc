@@ -882,11 +882,7 @@ main(int argc, char **argv)
          shape, agentCells(), {}, printAgents},
     };
 
-    // Sections run one at a time, in this order. calibratedSlo's cache
-    // key ignores the crash plan, yet an armed plan fires inside the
-    // calibration run; the fault cells and churnCells() calibrate the
-    // crash cells' VDI-Web and YCSB-B SLOs crash-free first, so those
-    // SLOs do not depend on which crash cell a worker starts first.
+    // Sections run one at a time, in this order.
     bool ok = true;
     for (const Section &s : sections) {
         std::vector<Cell> cells = s.cells;

@@ -106,10 +106,11 @@ calibratedSlo(WorkloadKind kind, std::size_t num_tenants,
         // Calibration is a throwaway inner run: never trace it, and
         // keep its cache entry independent of the caller's obs knobs.
         solo.obs = {};
-        // SLOs describe the *healthy* device: calibrate fault-free so
-        // an injected-fault sweep measures degradation against a fixed
-        // bar.
+        // SLOs describe the *healthy* device: calibrate fault-free and
+        // crash-free so an injected-fault sweep or a crash plan is
+        // measured against a fixed bar (the cache key ignores both).
         solo.faults = FaultConfig{};
+        solo.crash = {};
         Testbed tb(solo);
         const auto &geo = tb.device().geometry();
         const auto split =

@@ -215,6 +215,23 @@ TEST(RunExperiments, ParallelIsBitIdenticalToSerialLoop)
     }
 }
 
+TEST(CalibratedSlo, CrashArmedCallerGetsTheCrashFreeSlo)
+{
+    // An SLO describes the healthy device, and the cache key ignores
+    // the crash plan, so a plan that would fire inside the calibration
+    // run must not reach it. A key no other test uses, so this call
+    // calibrates it.
+    TestbedOptions opts;
+    opts.geo = testGeometry();
+    opts.intensity = 0.871;
+    opts.crash.plan.trigger = CrashPlan::Trigger::kSimTime;
+    opts.crash.plan.at = sec(2);  // mid-way through the calibration
+    // The crash-free calibration of this key; with the plan firing it
+    // calibrates at 1678972 ns.
+    EXPECT_EQ(calibratedSlo(WorkloadKind::kVdiWeb, 2, opts),
+              SimTime(1648016));
+}
+
 TEST(CalibratedSlo, ConcurrentSameKeyCallersAgree)
 {
     TestbedOptions opts;
