@@ -271,7 +271,6 @@ FleetIoController::tick()
         return;
     ++windows_;
     obs::ObsHub *const hub = gsb_.device().obs();
-    FLEETIO_OBS(hub, decisionWindow(windows_));
 
     // 1. Per-vSSD window metrics (before rolling the windows).
     const SimTime win = cfg_.decision_window;
@@ -348,9 +347,9 @@ FleetIoController::tick()
         applyAction(m, action);
     }
 
-    // 3b. Close the drift window and surface fresh flags (informational
-    // only — nothing here feeds back into a decision).
-    FLEETIO_OBS(hub, closeDriftWindow());
+    // 3b. Close the decision window and surface fresh drift flags
+    // (informational only — nothing here feeds back into a decision).
+    FLEETIO_OBS(hub, decisionWindow(windows_));
     if (hub != nullptr && supervisor_ != nullptr) {
         for (auto &m : managed_) {
             if (hub->driftFlagged(m.vssd->id()))

@@ -214,28 +214,7 @@ RecoveryManager::recover(const CrashShadow &shadow)
                  usec(1) * stats.replayed_records + msec(1);
 
     rep.recovered = true;
-    exportMetrics(rep);
     return rep;
-}
-
-void
-RecoveryManager::exportMetrics(const RecoveryReport &rep) const
-{
-    obs::ObsHub *hub = r_.dev->obs();
-    FLEETIO_OBS(hub, setGauge("recovery.rpo_ns", double(rep.rpo_ns)));
-    FLEETIO_OBS(hub, setGauge("recovery.rto_ns", double(rep.rto_ns)));
-    FLEETIO_OBS(hub, setGauge("recovery.scanned_pages",
-                              double(rep.scanned_pages)));
-    FLEETIO_OBS(hub, setGauge("recovery.replayed_records",
-                              double(rep.replayed_records)));
-    FLEETIO_OBS(hub, setGauge("recovery.torn_records",
-                              double(rep.torn_records)));
-    FLEETIO_OBS(hub, setGauge("recovery.restored_mappings",
-                              double(rep.restored_mappings)));
-    FLEETIO_OBS(hub, setGauge("recovery.checkpoint_fallback",
-                              rep.checkpoint_fallback ? 1.0 : 0.0));
-    FLEETIO_OBS(hub, setGauge("recovery.leases_reconciled",
-                              double(rep.leases_reconciled)));
 }
 
 }  // namespace fleetio

@@ -119,7 +119,6 @@ class RecoveryManager
   private:
     bool mapsMatchShadow(const CrashShadow &shadow) const;
     bool hbtMatchesShadow(const CrashShadow &shadow) const;
-    void exportMetrics(const RecoveryReport &rep) const;
 
     Refs r_;
 };

@@ -1,8 +1,6 @@
 #include "src/harness/experiment.h"
 
 #include <atomic>
-#include <cstdio>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -138,12 +136,9 @@ runExperiment(const ExperimentSpec &spec)
     // explicit spec.opts.obs settings are honoured either way.
     TestbedOptions opts = spec.opts;
     const bool trace_env = obs::traceEnabledFromEnv();
-    if (trace_env) {
-        opts.obs.trace = true;
-        opts.obs.metrics = true;
-        opts.obs.attribution = true;
-        opts.obs.drift = true;
-    }
+    if (trace_env)
+        opts.obs = {.trace = true, .metrics = true, .attribution = true,
+                    .drift = true};
 
     obs::PhaseProfiler prof;
     prof.begin("calibrate");
@@ -243,31 +238,8 @@ runExperiment(const ExperimentSpec &spec)
         static std::atomic<std::uint64_t> artifact_seq{0};
         const std::uint64_t n =
             artifact_seq.fetch_add(1, std::memory_order_relaxed);
-        const std::string base = obs::traceDirFromEnv() +
-                                 "/fleetio_run" + std::to_string(n);
-        if (tb.tracer() != nullptr) {
-            std::ofstream os(base + ".trace.json");
-            tb.tracer()->writeChromeJson(os);
-            if (tb.tracer()->droppedCount() > 0) {
-                std::fprintf(stderr,
-                             "fleetio: trace ring overwrote %llu "
-                             "event(s) (%s.trace.json is truncated; "
-                             "each thread's ring keeps the last %zu)\n",
-                             (unsigned long long)
-                                 tb.tracer()->droppedCount(),
-                             base.c_str(), obs::ObsHub::kTraceRingEvents);
-            }
-        }
-        if (tb.attribution() != nullptr) {
-            std::ofstream os(base + ".attribution.json");
-            tb.attribution()->writeJson(os, tb.drift());
-        }
-        if (tb.metrics() != nullptr) {
-            std::ofstream csv(base + ".metrics.csv");
-            tb.metrics()->writeCsv(csv);
-            std::ofstream js(base + ".metrics.json");
-            tb.metrics()->writeJson(js);
-        }
+        tb.obs()->writeArtifacts(obs::traceDirFromEnv() + "/fleetio_run" +
+                                 std::to_string(n));
     }
 
     prof.end(tb.eq().dispatched());

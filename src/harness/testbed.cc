@@ -220,15 +220,14 @@ Testbed::sampleUtilization()
     });
 }
 
-/** Every live tenant's bytes and effective tier, for the obs hub. */
+/** Every tenant's bytes and effective tier, for the obs hub. */
 const std::vector<obs::TenantSample> &
 Testbed::tenantSamples()
 {
-    obs_tenants_.clear();
-    obs_tenants_.reserve(vssds_.size());
+    obs_tenants_.assign(vssds_.size(), obs::TenantSample{});
     for (auto *v : vssds_.active()) {
-        obs_tenants_.push_back(obs::TenantSample{
-            v->id(), v->bandwidth().totalBytes(), int(v->effectiveTier())});
+        obs_tenants_[v->id()] = {true, v->bandwidth().totalBytes(),
+                                 int(v->effectiveTier())};
     }
     return obs_tenants_;
 }
@@ -347,8 +346,20 @@ Testbed::recoverFromCrash()
     RecoveryManager rm(recoveryRefs());
     recovery_report_ = rm.recover(shadow_);
     recovery_report_.acked_lost = auditAckedWrites();
-    FLEETIO_OBS(obs_.get(), setGauge("recovery.acked_lost",
-                                     double(recovery_report_.acked_lost)));
+    const RecoveryReport &r = recovery_report_;
+    const std::pair<const char *, double> gauges[] = {
+        {"recovery.rpo_ns", double(r.rpo_ns)},
+        {"recovery.rto_ns", double(r.rto_ns)},
+        {"recovery.scanned_pages", double(r.scanned_pages)},
+        {"recovery.replayed_records", double(r.replayed_records)},
+        {"recovery.torn_records", double(r.torn_records)},
+        {"recovery.restored_mappings", double(r.restored_mappings)},
+        {"recovery.checkpoint_fallback", r.checkpoint_fallback ? 1.0 : 0.0},
+        {"recovery.leases_reconciled", double(r.leases_reconciled)},
+        {"recovery.acked_lost", double(r.acked_lost)},
+    };
+    for (const auto &[name, value] : gauges)
+        FLEETIO_OBS(obs_.get(), setGauge(name, value));
 
     // Re-arm the volatile harness services the crash destroyed. Host
     // activity resumes once the simulated rebuild completes (RTO).

@@ -17,11 +17,7 @@
 #include "src/core/recovery.h"
 #include "src/harvest/gsb_manager.h"
 #include "src/harvest/harvested_block_table.h"
-#include "src/obs/attribution.h"
-#include "src/obs/drift.h"
 #include "src/obs/hub.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/flash_device.h"
 #include "src/virt/io_scheduler.h"
@@ -143,6 +139,9 @@ class Testbed
     /** The device's fault oracle (inert when all probabilities are 0). */
     FaultInjector &faults() { return faults_; }
     const FaultCounters &faultCounters() const { return faults_.counters(); }
+
+    /** The run's obs hub, or nullptr when every sink is off. */
+    obs::ObsHub *obs() { return obs_.get(); }
 
     /** The run's sinks, each nullptr when its switch is off. They are
      *  for export and results; the simulation feeds them through the

@@ -141,18 +141,14 @@ GsbManager::createGsb(Vssd &home, std::uint32_t n_chls)
     gsbs_.emplace(raw->id(), std::move(gsb));
     pool_.insert(raw);
     ++created_;
-    FLEETIO_OBS(dev_.obs(),
-                gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kCreate,
-                         home.id(), raw->id(), added));
+    noteGsb(obs::TraceEventType::kGsbCreate, home.id(), *raw);
     return raw;
 }
 
 void
 GsbManager::reclaimLazily(Gsb *gsb)
 {
-    FLEETIO_OBS(dev_.obs(),
-                gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kReclaim,
-                         gsb->homeVssd(), gsb->id(), gsb->numChannels()));
+    noteGsb(obs::TraceEventType::kGsbReclaim, gsb->homeVssd(), *gsb);
     gsb->setReclaiming();
     // Detach from the harvester's write path: no new data flows in.
     if (gsb->inUse()) {
@@ -233,9 +229,7 @@ GsbManager::revokeUnderPressure(VssdId home_id)
     for (Gsb *g : pool_gsbs) {
         if (!pool_.remove(g))
             continue;
-        FLEETIO_OBS(dev_.obs(),
-                    gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kRevoke,
-                             home_id, g->id(), g->numChannels()));
+        noteGsb(obs::TraceEventType::kGsbRevoke, home_id, *g);
         destroyUnharvestedAfterPoolRemove(g);
         ++revoked_;
         revoked_any = true;
@@ -257,9 +251,7 @@ GsbManager::revokeUnderPressure(VssdId home_id)
         return av != bv ? av < bv : a->id() < b->id();
     });
     for (Gsb *g : in_use) {
-        FLEETIO_OBS(dev_.obs(),
-                    gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kRevoke,
-                             home_id, g->id(), g->numChannels()));
+        noteGsb(obs::TraceEventType::kGsbRevoke, home_id, *g);
         reclaimLazily(g);
         ++revoked_;
         revoked_any = true;
@@ -373,10 +365,7 @@ GsbManager::forceReleaseHeld(VssdId harvester_id)
     std::uint32_t channels = 0;
     for (Gsb *g : held) {
         channels += g->numChannels();
-        FLEETIO_OBS(dev_.obs(),
-                    gsbEvent(dev_.eventQueue().now(),
-                             obs::GsbEvent::kForceRelease, harvester_id,
-                             g->id(), g->numChannels()));
+        noteGsb(obs::TraceEventType::kGsbForceRelease, harvester_id, *g);
         // reclaimLazily detaches the harvester's write path right away
         // (no new data lands in the gSB) and releases never-written
         // blocks instantly; the rest drain through the home GC.
@@ -457,9 +446,7 @@ GsbManager::harvest(VssdId harvester_id, double gsb_bw_mbps)
         harvester->ftl().addExternalSource(g);
         current += g->numChannels();
         ++harvested_;
-        FLEETIO_OBS(dev_.obs(),
-                    gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kHarvest,
-                             harvester_id, g->id(), g->numChannels()));
+        noteGsb(obs::TraceEventType::kGsbHarvest, harvester_id, *g);
     }
     return current;
 }
@@ -514,10 +501,15 @@ GsbManager::destroyUnharvestedAfterPoolRemove(Gsb *gsb)
     if (home != nullptr && returned > 0)
         home->ftl().onBlocksReclaimed(returned);
     ++reclaimed_;
-    FLEETIO_OBS(dev_.obs(),
-                gsbEvent(dev_.eventQueue().now(), obs::GsbEvent::kDestroy,
-                         gsb->homeVssd(), gsb->id(), gsb->numChannels()));
+    noteGsb(obs::TraceEventType::kGsbDestroy, gsb->homeVssd(), *gsb);
     eraseGsbRecord(gsb->id());
+}
+
+void
+GsbManager::noteGsb(obs::TraceEventType type, VssdId tenant, const Gsb &g)
+{
+    FLEETIO_OBS(dev_.obs(), gsbEvent(dev_.eventQueue().now(), type, tenant,
+                                     g.id(), g.numChannels()));
 }
 
 }  // namespace fleetio

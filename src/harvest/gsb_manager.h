@@ -138,6 +138,8 @@ class GsbManager
     void destroyUnharvestedAfterPoolRemove(Gsb *gsb);
     void reclaimLazily(Gsb *gsb);
     void eraseGsbRecord(GsbId id);
+    /** Emit gSB lifecycle point @p type (a kGsb* trace type). */
+    void noteGsb(obs::TraceEventType type, VssdId tenant, const Gsb &g);
 
     FlashDevice &dev_;
     VssdManager &vssds_;

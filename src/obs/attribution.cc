@@ -487,14 +487,6 @@ AttributionHub::stageTotal(VssdId id, Stage s) const
 }
 
 std::uint64_t
-AttributionHub::windowStageTotal(VssdId id, Stage s) const
-{
-    if (id >= tenants_.size())
-        return 0;
-    return tenants_[id].window[kIdx(s)];
-}
-
-std::uint64_t
 AttributionHub::blame(VssdId victim, VssdId culprit) const
 {
     if (victim >= lifetime_blame_.size() ||

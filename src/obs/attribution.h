@@ -27,7 +27,6 @@
 #include <iosfwd>
 #include <vector>
 
-#include "src/obs/hub.h"
 #include "src/sim/types.h"
 
 namespace fleetio::obs {
@@ -69,6 +68,13 @@ const char *stageName(Stage s);
  *  blame matrix conserves exactly this subset: a victim's row sum
  *  equals its wait-stage sum. */
 bool isWaitStage(Stage s);
+
+/** Who/what an occupancy segment belongs to. */
+enum class SegKind : std::uint8_t {
+    kHostOp = 0,  ///< host I/O on the owner's own channels
+    kGcOp,        ///< garbage-collection read/program/erase
+    kHarvestOp,   ///< host write harvested onto a foreign channel
+};
 
 /** Root causes the verdict engine can assign to a violating window. */
 enum class VerdictCause : std::uint8_t {
@@ -230,9 +236,6 @@ class AttributionHub
 
     /** Lifetime (since markBaseline) per-stage totals, ns. */
     std::uint64_t stageTotal(VssdId id, Stage s) const;
-
-    /** Current-window per-stage totals, ns. */
-    std::uint64_t windowStageTotal(VssdId id, Stage s) const;
 
     /** Lifetime blame matrix cell, ns of wait v suffered because of c. */
     std::uint64_t blame(VssdId victim, VssdId culprit) const;

@@ -1,28 +1,9 @@
 #include "src/obs/hub.h"
 
-#include <algorithm>
-
-#include "src/obs/attribution.h"
-#include "src/obs/drift.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include <cstdio>
+#include <fstream>
 
 namespace fleetio::obs {
-
-namespace {
-
-/** Grow @p v, indexed by VssdId, to cover every sampled tenant. */
-template <typename T>
-void
-coverTenants(std::vector<T> &v, const std::vector<TenantSample> &tenants)
-{
-    std::size_t need = v.size();
-    for (const TenantSample &t : tenants)
-        need = std::max(need, std::size_t(t.id) + 1);
-    v.resize(need, T{});
-}
-
-}  // namespace
 
 ObsHub::ObsHub(const ObsSinks &sinks, std::size_t channels,
                std::size_t chips, SimTime window)
@@ -42,28 +23,31 @@ ObsHub::ObsHub(const ObsSinks &sinks, std::size_t channels,
         drift_ = std::make_unique<DriftMonitor>();
 }
 
-ObsHub::~ObsHub() = default;
-
 void
-ObsHub::pushContext(VssdId tenant, SegKind kind)
+ObsHub::writeArtifacts(const std::string &base) const
 {
-    if (attr_ != nullptr)
-        attr_->pushContext(tenant, kind);
-}
-
-void
-ObsHub::popContext()
-{
-    if (attr_ != nullptr)
-        attr_->popContext();
-}
-
-ObsHub::TenantMetrics &
-ObsHub::tenantMetrics(VssdId id)
-{
-    if (tenant_metrics_.size() <= id)
-        tenant_metrics_.resize(id + 1);
-    return tenant_metrics_[id];
+    if (trace_ != nullptr) {
+        std::ofstream os(base + ".trace.json");
+        trace_->writeChromeJson(os);
+        if (trace_->droppedCount() > 0) {
+            std::fprintf(stderr,
+                         "fleetio: trace ring overwrote %llu event(s) "
+                         "(%s.trace.json is truncated; each thread's ring "
+                         "keeps the last %zu)\n",
+                         (unsigned long long)trace_->droppedCount(),
+                         base.c_str(), kTraceRingEvents);
+        }
+    }
+    if (attr_ != nullptr) {
+        std::ofstream os(base + ".attribution.json");
+        attr_->writeJson(os, drift_.get());
+    }
+    if (metrics_ != nullptr) {
+        std::ofstream csv(base + ".metrics.csv");
+        metrics_->writeCsv(csv);
+        std::ofstream js(base + ".metrics.json");
+        metrics_->writeJson(js);
+    }
 }
 
 // ------------------------------------------------ tenants and windows
@@ -90,10 +74,9 @@ ObsHub::measurementStarted(SimTime now,
     if (drift_ != nullptr)
         drift_->markBaseline();
     if (trace_ != nullptr) {
-        last_bytes_.assign(last_bytes_.size(), 0);
-        coverTenants(last_bytes_, tenants);
-        for (const TenantSample &t : tenants)
-            last_bytes_[t.id] = t.bytes;
+        last_bytes_.assign(tenants.size(), 0);
+        for (VssdId id = 0; id < tenants.size(); ++id)
+            last_bytes_[id] = tenants[id].bytes;
     }
 }
 
@@ -103,20 +86,21 @@ ObsHub::windowClosed(SimTime now, double util, std::uint64_t queued_ops,
                      const std::vector<TenantSample> &tenants)
 {
     if (trace_ != nullptr) {
-        trace_->windowBoundary(now, window_);
-        trace_->counterSample(now, kTrackController,
-                              CounterKind::kUtilization, util);
-        trace_->counterSample(now, kTrackController,
-                              CounterKind::kQueueDepth,
-                              double(queued_ops));
+        trace(TraceEventType::kWindowBoundary, now, kTrackController, 0,
+              window_);
+        counter(now, kTrackController, CounterKind::kUtilization, util);
+        counter(now, kTrackController, CounterKind::kQueueDepth,
+                double(queued_ops));
         const double win_sec = toSeconds(window_len_);
-        coverTenants(last_bytes_, tenants);
-        for (const TenantSample &t : tenants) {
+        last_bytes_.resize(tenants.size(), 0);
+        for (VssdId id = 0; id < tenants.size(); ++id) {
+            const TenantSample &t = tenants[id];
+            if (!t.live)
+                continue;
             const double mbps =
-                double(t.bytes - last_bytes_[t.id]) / (1e6 * win_sec);
-            last_bytes_[t.id] = t.bytes;
-            trace_->counterSample(now, tenantTrack(t.id),
-                                  CounterKind::kBandwidthMBps, mbps);
+                double(t.bytes - last_bytes_[id]) / (1e6 * win_sec);
+            last_bytes_[id] = t.bytes;
+            counter(now, tenantTrack(id), CounterKind::kBandwidthMBps, mbps);
         }
     }
     rollAttribution(now, tenants);
@@ -151,10 +135,9 @@ ObsHub::rollAttribution(SimTime now,
 {
     if (attr_ == nullptr)
         return;
-    tiers_.assign(tiers_.size(), 0);
-    coverTenants(tiers_, tenants);
-    for (const TenantSample &t : tenants)
-        tiers_[t.id] = t.tier;
+    tiers_.resize(tenants.size());
+    for (VssdId id = 0; id < tenants.size(); ++id)
+        tiers_[id] = tenants[id].tier;
     const std::size_t first_new = attr_->verdicts().size();
     attr_->rollWindow(now, window_, tiers_);
     if (metrics_ == nullptr)
@@ -174,49 +157,7 @@ ObsHub::rollAttribution(SimTime now,
     metrics_->counter("attr.verdicts").observe(verdicts.size());
 }
 
-void
-ObsHub::setGauge(const std::string &name, double value)
-{
-    if (metrics_ != nullptr)
-        metrics_->gauge(name).set(value);
-}
-
-// ----------------------------------------------------------- requests
-
-void
-ObsHub::ioSubmit(SimTime now, VssdId v, std::uint64_t req_id, IoType type,
-                 std::uint32_t npages, SimTime *stages,
-                 SimTime *complete_hint)
-{
-    if (trace_ != nullptr)
-        trace_->ioSubmit(now, v, req_id, type, npages);
-    if (attr_ != nullptr)
-        attr_->resetRequest(stages, complete_hint);
-}
-
-void
-ObsHub::ioDispatch(SimTime now, VssdId v, std::uint64_t req_id,
-                   ChannelId ch, SimTime wait)
-{
-    if (trace_ != nullptr)
-        trace_->ioDispatch(now, v, req_id, ch, wait);
-}
-
-void
-ObsHub::finishHostPage(SimTime gc_stall, SimTime queue_wait,
-                       SimTime *stages, SimTime *complete_hint)
-{
-    if (attr_ != nullptr)
-        attr_->finishHostPage(gc_stall, queue_wait, stages, complete_hint);
-}
-
-void
-ObsHub::zeroFillPage(VssdId v, SimTime latency, SimTime complete,
-                     SimTime *stages, SimTime *complete_hint)
-{
-    if (attr_ != nullptr)
-        attr_->zeroFillPage(v, latency, complete, stages, complete_hint);
-}
+// ------------------------------------------------------ requests, gSBs
 
 void
 ObsHub::ioComplete(SimTime now, VssdId v, std::uint64_t req_id,
@@ -224,14 +165,16 @@ ObsHub::ioComplete(SimTime now, VssdId v, std::uint64_t req_id,
                    const SimTime *stages)
 {
     const SimTime latency = now - submit;
-    if (trace_ != nullptr)
-        trace_->ioComplete(now, v, req_id, type, latency);
+    trace(TraceEventType::kIoComplete, now, tenantTrack(v), req_id,
+          std::uint64_t(type), 0, toMicros(latency));
     if (attr_ != nullptr) {
         attr_->recordRequest(v, type == IoType::kWrite, req_id, submit,
                              now, stages);
     }
     if (metrics_ != nullptr) {
-        TenantMetrics &tm = tenantMetrics(v);
+        if (tenant_metrics_.size() <= v)
+            tenant_metrics_.resize(v + 1);
+        TenantMetrics &tm = tenant_metrics_[v];
         if (tm.latency == nullptr) {
             const std::string prefix = "t" + std::to_string(v) + ".";
             tm.latency = &metrics_->histogram(prefix + "latency_ns");
@@ -246,157 +189,31 @@ ObsHub::ioComplete(SimTime now, VssdId v, std::uint64_t req_id,
     }
 }
 
-// ------------------------------------------------- device reservations
-
 void
-ObsHub::noteRead(bool host, ChannelId ch, std::size_t chip, SimTime now,
-                 SimTime chip_free, SimTime read_done, SimTime retry_extra,
-                 SimTime bus_free, SimTime complete)
-{
-    if (attr_ != nullptr) {
-        attr_->noteRead(ch, chip, now, chip_free, read_done, retry_extra,
-                        bus_free, complete);
-    }
-    if (trace_ != nullptr && !host)
-        trace_->gcOp(now, TraceEventType::kGcRead, ch);
-}
-
-void
-ObsHub::noteProgram(bool host, ChannelId ch, std::size_t chip,
-                    SimTime now, SimTime bus_free, SimTime xfer_done,
-                    SimTime chip_free, SimTime complete)
-{
-    if (attr_ != nullptr) {
-        attr_->noteProgram(ch, chip, now, bus_free, xfer_done, chip_free,
-                           complete);
-    }
-    if (trace_ != nullptr && !host)
-        trace_->gcOp(now, TraceEventType::kGcProgram, ch);
-}
-
-void
-ObsHub::noteErase(ChannelId ch, std::size_t chip, SimTime now,
-                  SimTime chip_free, SimTime complete)
-{
-    if (attr_ != nullptr)
-        attr_->noteErase(ch, chip, now, chip_free, complete);
-    if (trace_ != nullptr)
-        trace_->gcOp(now, TraceEventType::kGcErase, ch);
-}
-
-void
-ObsHub::powerLost()
-{
-    // Reservation accumulators just rewound to zero; stale occupancy
-    // segments would otherwise blame post-recovery waits on pre-crash
-    // tenants.
-    if (attr_ != nullptr)
-        attr_->crashReset();
-}
-
-// -------------------------------------------------------- GC and gSBs
-
-void
-ObsHub::gcBatch(SimTime now, VssdId v, ChannelId ch, std::uint32_t npages)
-{
-    if (trace_ != nullptr)
-        trace_->gcBatch(now, v, ch, npages);
-}
-
-void
-ObsHub::gsbEvent(SimTime now, GsbEvent ev, VssdId tenant,
+ObsHub::gsbEvent(SimTime now, TraceEventType type, VssdId tenant,
                  std::uint64_t gsb_id, std::uint32_t channels)
 {
-    static constexpr TraceEventType kTraceType[] = {
-        TraceEventType::kGsbCreate,  TraceEventType::kGsbHarvest,
-        TraceEventType::kGsbReclaim, TraceEventType::kGsbRevoke,
-        TraceEventType::kGsbForceRelease, TraceEventType::kGsbDestroy,
-    };
-    if (trace_ != nullptr) {
-        trace_->gsbEvent(now, kTraceType[std::size_t(ev)], tenant, gsb_id,
-                         channels);
-    }
+    trace(type, now, tenantTrack(tenant), gsb_id, channels);
+    // The attribution artifact counts harvests, reclaims and lost
+    // leases; creation and destruction are trace-only.
     if (attr_ == nullptr)
         return;
-    switch (ev) {
-    case GsbEvent::kHarvest:
+    if (type == TraceEventType::kGsbHarvest)
         attr_->noteHarvest(tenant, HarvestNote::kCreated);
-        break;
-    case GsbEvent::kReclaim:
+    else if (type == TraceEventType::kGsbReclaim)
         attr_->noteHarvest(tenant, HarvestNote::kReclaim);
-        break;
-    case GsbEvent::kRevoke:
-    case GsbEvent::kForceRelease:
+    else if (type == TraceEventType::kGsbRevoke ||
+             type == TraceEventType::kGsbForceRelease)
         attr_->noteHarvest(tenant, HarvestNote::kRevoked);
-        break;
-    case GsbEvent::kCreate:
-    case GsbEvent::kDestroy:
-        break;
-    }
 }
 
 // -------------------------------------------------------------- agents
 
 void
-ObsHub::controllerStarted()
-{
-    if (metrics_ != nullptr)
-        windows_ctr_ = &metrics_->counter("controller.windows");
-}
-
-void
 ObsHub::decisionWindow(std::uint64_t window)
 {
-    // The trace marks windows once, from windowClosed: the controller
-    // ticks at the sampler's instants, and the sampler's index is the
-    // one the metrics snapshots and attribution verdicts use.
     if (windows_ctr_ != nullptr)
         windows_ctr_->observe(window);
-}
-
-void
-ObsHub::agentReward(SimTime now, VssdId v, double reward)
-{
-    if (trace_ != nullptr)
-        trace_->agentReward(now, v, reward);
-    if (metrics_ != nullptr) {
-        TenantMetrics &tm = tenantMetrics(v);
-        if (tm.reward == nullptr) {
-            tm.reward =
-                &metrics_->gauge("t" + std::to_string(v) + ".reward");
-        }
-        tm.reward->set(reward);
-    }
-}
-
-void
-ObsHub::agentDecide(SimTime now, VssdId v, std::uint64_t action_code)
-{
-    if (trace_ != nullptr)
-        trace_->agentDecide(now, v, action_code);
-    if (drift_ != nullptr) {
-        drift_->recordAction(v, action_code);
-        decided_.push_back(v);
-    }
-}
-
-void
-ObsHub::agentTrip(SimTime now, VssdId v, std::uint64_t reason)
-{
-    if (trace_ != nullptr)
-        trace_->agentTrip(now, v, reason);
-}
-
-void
-ObsHub::agentRemoved(VssdId v)
-{
-    if (drift_ != nullptr)
-        drift_->removeAgent(v);
-}
-
-void
-ObsHub::closeDriftWindow()
-{
     if (drift_ == nullptr)
         return;
     drift_->rollWindow();
@@ -409,17 +226,6 @@ ObsHub::closeDriftWindow()
         }
     }
     decided_.clear();
-}
-
-bool
-ObsHub::driftFlagged(VssdId v) const
-{
-    if (drift_ == nullptr)
-        return false;
-    // `latest` sticks around after a quiet window; only a score minted
-    // by the last roll counts as a fresh flag.
-    const DriftMonitor::Score s = drift_->latest(v);
-    return s.flagged && s.window == drift_->windowsSeen();
 }
 
 }  // namespace fleetio::obs

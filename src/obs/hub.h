@@ -1,19 +1,14 @@
 /**
  * @file
- * The observability hub (DESIGN.md §9, §13): the one obs object the
- * simulator's components see. It owns whichever of the four sinks a
- * run asked for (the Perfetto trace, per-window metrics, latency
- * attribution and agent drift) and has one emit per semantic event,
- * which it forwards to every sink that exists.
- *
- * The testbed builds a hub only when at least one sink is on and
- * installs it on the FlashDevice; every other component reaches it
- * through FlashDevice::obs(). Instrumentation sites outside src/obs
- * call an emit through FLEETIO_OBS(hub, emit(...)), so a run without
- * obs pays one pointer test per site: no argument is evaluated,
- * nothing is allocated, and the run is bit-identical to one without
- * this layer. No sink knows about another; where one event feeds two
- * sinks, the hub does the fan-out.
+ * The observability hub (DESIGN.md §9, §13). It owns the sinks a run
+ * asked for (Perfetto trace, per-window metrics, latency attribution,
+ * agent drift) and has one emit per semantic event, which it forwards
+ * to every sink that exists, so no sink knows about another. The
+ * testbed builds it only when a sink is on and installs it on the
+ * FlashDevice, through which every other component reaches it. Sites
+ * outside src/obs emit through FLEETIO_OBS(hub, emit(...)): an obs-off
+ * run pays one pointer test per site, evaluates no argument, allocates
+ * nothing, and is bit-identical to a run without this layer.
  */
 #pragma once
 
@@ -23,57 +18,30 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/attribution.h"
+#include "src/obs/drift.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/sim/types.h"
 
-namespace fleetio {
-class Histogram;
-}
-
 namespace fleetio::obs {
-
-class AttributionHub;
-class Counter;
-class DriftMonitor;
-class Gauge;
-class MetricsRegistry;
-class TraceRecorder;
 
 /** Which sinks a run records into. All default off. */
 struct ObsSinks
 {
-    bool trace = false;    ///< record trace events (Perfetto export)
-    bool metrics = false;  ///< per-window metrics snapshots
-
-    /** Latency attribution + SLO verdicts (DESIGN.md §13). */
-    bool attribution = false;
-
-    /** Agent drift monitors (PSI/KL vs recorded baseline). */
-    bool drift = false;
+    bool trace = false;        ///< trace events (Perfetto export)
+    bool metrics = false;      ///< per-window metrics snapshots
+    bool attribution = false;  ///< latency attribution, SLO verdicts
+    bool drift = false;        ///< agent drift monitors (PSI/KL)
 
     bool any() const { return trace || metrics || attribution || drift; }
 };
 
-/** Who/what a device occupancy segment belongs to. */
-enum class SegKind : std::uint8_t {
-    kHostOp = 0,  ///< host I/O on the owner's own channels
-    kGcOp,        ///< garbage-collection read/program/erase
-    kHarvestOp,   ///< host write harvested onto a foreign channel
-};
-
-/** gSB lifecycle points (GsbManager). */
-enum class GsbEvent : std::uint8_t {
-    kCreate = 0,    ///< donor's gSB enters the pool
-    kHarvest,       ///< a harvester takes a pooled gSB
-    kReclaim,       ///< donor starts reclaiming an in-use gSB
-    kRevoke,        ///< donor pressure revokes a lease
-    kForceRelease,  ///< harvester is made to drop its leases
-    kDestroy,       ///< gSB fully returned and retired
-};
-
-/** One tenant at a window boundary, as the testbed samples it. */
+/** One tenant at a window boundary, as the testbed samples it; the
+ *  samples are indexed by VssdId. */
 struct TenantSample
 {
-    VssdId id = kNoVssd;
+    bool live = false;        ///< false once removed
     std::uint64_t bytes = 0;  ///< bytes moved since the last reset
     int tier = 0;             ///< effective QoS tier (> 0 = degraded)
 };
@@ -87,16 +55,11 @@ class ObsHub
      *  baseline and a PSI threshold of 0.25. */
     static constexpr std::size_t kTraceRingEvents = std::size_t(1) << 16;
 
-    /**
-     * Build the sinks @p sinks asks for. @p channels and @p chips size
-     * the attribution ledgers; @p window is the sampling window the
-     * per-tenant bandwidth counters divide by.
-     */
+    /** Build the sinks @p sinks asks for. @p channels and @p chips
+     *  size the attribution ledgers; the per-tenant bandwidth counters
+     *  divide by the sampling @p window. */
     ObsHub(const ObsSinks &sinks, std::size_t channels, std::size_t chips,
            SimTime window);
-    ~ObsHub();
-    ObsHub(const ObsHub &) = delete;
-    ObsHub &operator=(const ObsHub &) = delete;
 
     // --- sinks, for export and results (nullptr when off) -------------
 
@@ -105,29 +68,35 @@ class ObsHub
     AttributionHub *attribution() const { return attr_.get(); }
     DriftMonitor *drift() const { return drift_.get(); }
 
+    /** Write each sink's artifact: <base>.trace.json,
+     *  .attribution.json (drift embedded), .metrics.csv and
+     *  .metrics.json; warn on stderr when the trace ring overwrote. */
+    void writeArtifacts(const std::string &base) const;
+
     /**
      * RAII attribution arm: device issues inside the scope are
-     * attributed to @p tenant with occupancy kind @p kind. A null hub
-     * makes it a no-op.
+     * attributed to @p tenant with occupancy kind @p kind. A null hub,
+     * or one without attribution, makes it a no-op.
      */
     class Scope
     {
       public:
-        Scope(ObsHub *hub, VssdId tenant, SegKind kind) : hub_(hub)
+        Scope(ObsHub *hub, VssdId tenant, SegKind kind)
+            : attr_(hub != nullptr ? hub->attr_.get() : nullptr)
         {
-            if (hub_ != nullptr)
-                hub_->pushContext(tenant, kind);
+            if (attr_ != nullptr)
+                attr_->pushContext(tenant, kind);
         }
         ~Scope()
         {
-            if (hub_ != nullptr)
-                hub_->popContext();
+            if (attr_ != nullptr)
+                attr_->popContext();
         }
         Scope(const Scope &) = delete;
         Scope &operator=(const Scope &) = delete;
 
       private:
-        ObsHub *hub_;
+        AttributionHub *attr_;
     };
 
     // --- tenants, windows, measurement (Testbed) ----------------------
@@ -150,26 +119,46 @@ class ObsHub
                           const std::vector<TenantSample> &tenants);
 
     /** Publish a one-off value (recovery figures) as a gauge. */
-    void setGauge(const std::string &name, double value);
+    void setGauge(const std::string &name, double value)
+    {
+        if (metrics_ != nullptr)
+            metrics_->gauge(name).set(value);
+    }
 
     // --- requests (IoScheduler) ---------------------------------------
 
     /** A request entered the scheduler; clears its stage record. */
     void ioSubmit(SimTime now, VssdId v, std::uint64_t req_id, IoType type,
                   std::uint32_t npages, SimTime *stages,
-                  SimTime *complete_hint);
+                  SimTime *complete_hint)
+    {
+        trace(TraceEventType::kIoSubmit, now, tenantTrack(v), req_id,
+              std::uint64_t(type), npages);
+        if (attr_ != nullptr)
+            attr_->resetRequest(stages, complete_hint);
+    }
 
-    /** One page op left a channel queue after waiting @p wait. */
+    /** A page op left channel @p ch's queue after @p queue_wait and
+     *  was issued under the current arm scope. */
     void ioDispatch(SimTime now, VssdId v, std::uint64_t req_id,
-                    ChannelId ch, SimTime wait);
-
-    /** Close out the page issued under the current arm scope. */
-    void finishHostPage(SimTime gc_stall, SimTime queue_wait,
-                        SimTime *stages, SimTime *complete_hint);
+                    ChannelId ch, SimTime gc_stall, SimTime queue_wait,
+                    SimTime *stages, SimTime *complete_hint)
+    {
+        trace(TraceEventType::kIoDispatch, now, tenantTrack(v), req_id, ch,
+              0, toMicros(queue_wait));
+        if (attr_ != nullptr) {
+            attr_->finishHostPage(gc_stall, queue_wait, stages,
+                                  complete_hint);
+        }
+    }
 
     /** A read page was satisfied without a device op (unwritten LPA). */
     void zeroFillPage(VssdId v, SimTime latency, SimTime complete,
-                      SimTime *stages, SimTime *complete_hint);
+                      SimTime *stages, SimTime *complete_hint)
+    {
+        if (attr_ != nullptr)
+            attr_->zeroFillPage(v, latency, complete, stages, complete_hint);
+    }
 
     /** A request's final page completed. */
     void ioComplete(SimTime now, VssdId v, std::uint64_t req_id,
@@ -181,61 +170,144 @@ class ObsHub
     /** A page read was reserved (@p host false = GC copyback read). */
     void noteRead(bool host, ChannelId ch, std::size_t chip, SimTime now,
                   SimTime chip_free, SimTime read_done, SimTime retry_extra,
-                  SimTime bus_free, SimTime complete);
+                  SimTime bus_free, SimTime complete)
+    {
+        if (attr_ != nullptr) {
+            attr_->noteRead(ch, chip, now, chip_free, read_done,
+                            retry_extra, bus_free, complete);
+        }
+        if (!host)
+            trace(TraceEventType::kGcRead, now, channelTrack(ch));
+    }
 
     /** A page program was reserved (@p host false = GC copyback). */
     void noteProgram(bool host, ChannelId ch, std::size_t chip,
                      SimTime now, SimTime bus_free, SimTime xfer_done,
-                     SimTime chip_free, SimTime complete);
+                     SimTime chip_free, SimTime complete)
+    {
+        if (attr_ != nullptr) {
+            attr_->noteProgram(ch, chip, now, bus_free, xfer_done,
+                               chip_free, complete);
+        }
+        if (!host)
+            trace(TraceEventType::kGcProgram, now, channelTrack(ch));
+    }
 
     /** A block erase was reserved. */
     void noteErase(ChannelId ch, std::size_t chip, SimTime now,
-                   SimTime chip_free, SimTime complete);
+                   SimTime chip_free, SimTime complete)
+    {
+        if (attr_ != nullptr)
+            attr_->noteErase(ch, chip, now, chip_free, complete);
+        trace(TraceEventType::kGcErase, now, channelTrack(ch));
+    }
 
-    /** Power loss: in-flight reservations are void. */
-    void powerLost();
+    /** Power loss: in-flight reservations are void, and stale
+     *  occupancy segments would blame post-recovery waits on pre-crash
+     *  tenants. */
+    void powerLost()
+    {
+        if (attr_ != nullptr)
+            attr_->crashReset();
+    }
 
     // --- GC and gSBs --------------------------------------------------
 
     /** A GC victim was picked and its migration batch starts. */
-    void gcBatch(SimTime now, VssdId v, ChannelId ch, std::uint32_t npages);
+    void gcBatch(SimTime now, VssdId v, ChannelId ch, std::uint32_t npages)
+    {
+        trace(TraceEventType::kGcBatch, now, channelTrack(ch), 0, v, npages);
+    }
 
-    void gsbEvent(SimTime now, GsbEvent ev, VssdId tenant,
+    /** A gSB lifecycle point, @p type one of the kGsb* trace types. */
+    void gsbEvent(SimTime now, TraceEventType type, VssdId tenant,
                   std::uint64_t gsb_id, std::uint32_t channels);
 
     // --- agents (FleetIoController, AgentSupervisor) ------------------
 
-    void controllerStarted();
+    void controllerStarted()
+    {
+        if (metrics_ != nullptr)
+            windows_ctr_ = &metrics_->counter("controller.windows");
+    }
 
     /** The controller closed decision window @p window (counted from
-     *  its start, not from the measurement). */
+     *  its start, not from the measurement): count it and close the
+     *  drift window of every agent that decided in it. */
     void decisionWindow(std::uint64_t window);
-    void agentReward(SimTime now, VssdId v, double reward);
-    void agentDecide(SimTime now, VssdId v, std::uint64_t action_code);
-    void agentTrip(SimTime now, VssdId v, std::uint64_t reason);
-    void agentRemoved(VssdId v);
 
-    /** Close the drift window of every agent that decided in it. */
-    void closeDriftWindow();
+    void agentReward(SimTime now, VssdId v, double reward)
+    {
+        if (trace_ != nullptr) {
+            trace(TraceEventType::kAgentReward, now, tenantTrack(v), 0, 0,
+                  0, reward);
+            counter(now, tenantTrack(v), CounterKind::kReward, reward);
+        }
+        if (metrics_ != nullptr)
+            metrics_->gauge("t" + std::to_string(v) + ".reward").set(reward);
+    }
 
-    /** Did the last closeDriftWindow flag @p v's action distribution?
-     *  Informational only: never feeds back into a decision. */
-    bool driftFlagged(VssdId v) const;
+    void agentDecide(SimTime now, VssdId v, std::uint64_t action_code)
+    {
+        trace(TraceEventType::kAgentDecide, now, tenantTrack(v), 0,
+              action_code);
+        if (drift_ != nullptr) {
+            drift_->recordAction(v, action_code);
+            decided_.push_back(v);
+        }
+    }
+
+    void agentTrip(SimTime now, VssdId v, std::uint64_t reason)
+    {
+        trace(TraceEventType::kAgentTrip, now, tenantTrack(v), 0, reason);
+    }
+
+    void agentRemoved(VssdId v)
+    {
+        if (drift_ != nullptr)
+            drift_->removeAgent(v);
+    }
+
+    /** Did the last decisionWindow flag @p v's action distribution?
+     *  Informational only: never feeds back into a decision. `latest`
+     *  sticks around after a quiet window, so only a score minted by
+     *  that roll counts. */
+    bool driftFlagged(VssdId v) const
+    {
+        if (drift_ == nullptr)
+            return false;
+        const DriftMonitor::Score s = drift_->latest(v);
+        return s.flagged && s.window == drift_->windowsSeen();
+    }
 
   private:
-    /** Metric handles for one tenant, built on first use. */
     struct TenantMetrics
     {
         Histogram *latency = nullptr;
         Counter *read_bytes = nullptr;
         Counter *write_bytes = nullptr;
         Counter *requests = nullptr;
-        Gauge *reward = nullptr;
     };
 
-    void pushContext(VssdId tenant, SegKind kind);
-    void popContext();
-    TenantMetrics &tenantMetrics(VssdId id);
+    /** Record one trace event; the fields not given stay zero. */
+    void trace(TraceEventType type, SimTime ts, std::uint16_t track,
+               std::uint64_t id = 0, std::uint64_t a = 0,
+               std::uint64_t b = 0, double value = 0.0)
+    {
+        if (trace_ != nullptr) {
+            trace_->record({ts, id, a, b, value, type,
+                            CounterKind::kBandwidthMBps, track});
+        }
+    }
+
+    /** Record one counter-track sample (trace on). */
+    void counter(SimTime ts, std::uint16_t track, CounterKind kind,
+                 double value)
+    {
+        trace_->record(
+            {ts, 0, 0, 0, value, TraceEventType::kCounter, kind, track});
+    }
+
     void rollAttribution(SimTime now,
                          const std::vector<TenantSample> &tenants);
 
@@ -249,7 +321,7 @@ class ObsHub
     std::vector<std::uint64_t> last_bytes_;  ///< [vssd] at last window
     std::vector<int> tiers_;                 ///< [vssd] verdict input
     std::vector<VssdId> decided_;  ///< agents in the open drift window
-    std::vector<TenantMetrics> tenant_metrics_;  ///< [vssd]
+    std::vector<TenantMetrics> tenant_metrics_;  ///< [vssd], lazy
     Counter *windows_ctr_ = nullptr;
 };
 

@@ -67,7 +67,8 @@ enum class CounterKind : std::uint8_t {
 
 /**
  * One recorded event. Fixed-size POD so rings are flat arrays; the
- * meaning of id/a/b/value depends on the type (see the emit helpers).
+ * meaning of id/a/b/value depends on the type (the ObsHub's emits
+ * build them; the exporter reads them).
  */
 struct TraceEvent
 {
@@ -130,133 +131,6 @@ class TraceRecorder
 {
   public:
     explicit TraceRecorder(std::size_t ring_capacity = 1u << 16);
-
-    // --- Emit helpers (one per taxonomy entry) ----------------------
-
-    void ioSubmit(SimTime ts, VssdId v, std::uint64_t req_id,
-                  IoType type, std::uint32_t npages)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.id = req_id;
-        ev.a = std::uint64_t(type);
-        ev.b = npages;
-        ev.type = TraceEventType::kIoSubmit;
-        ev.track = tenantTrack(v);
-        record(ev);
-    }
-
-    void ioDispatch(SimTime ts, VssdId v, std::uint64_t req_id,
-                    ChannelId ch, SimTime wait_ns)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.id = req_id;
-        ev.a = ch;
-        ev.value = toMicros(wait_ns);
-        ev.type = TraceEventType::kIoDispatch;
-        ev.track = tenantTrack(v);
-        record(ev);
-    }
-
-    void ioComplete(SimTime ts, VssdId v, std::uint64_t req_id,
-                    IoType type, SimTime latency_ns)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.id = req_id;
-        ev.a = std::uint64_t(type);
-        ev.value = toMicros(latency_ns);
-        ev.type = TraceEventType::kIoComplete;
-        ev.track = tenantTrack(v);
-        record(ev);
-    }
-
-    void gcBatch(SimTime ts, VssdId v, ChannelId ch,
-                 std::uint32_t npages)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.a = v;
-        ev.b = npages;
-        ev.type = TraceEventType::kGcBatch;
-        ev.track = channelTrack(ch);
-        record(ev);
-    }
-
-    void gcOp(SimTime ts, TraceEventType type, ChannelId ch)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.type = type;
-        ev.track = channelTrack(ch);
-        record(ev);
-    }
-
-    void gsbEvent(SimTime ts, TraceEventType type, VssdId tenant,
-                  std::uint64_t gsb_id, std::uint32_t channels)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.id = gsb_id;
-        ev.a = channels;
-        ev.type = type;
-        ev.track = tenantTrack(tenant);
-        record(ev);
-    }
-
-    void agentDecide(SimTime ts, VssdId v, std::uint64_t action_code)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.a = action_code;
-        ev.type = TraceEventType::kAgentDecide;
-        ev.track = tenantTrack(v);
-        record(ev);
-    }
-
-    void agentReward(SimTime ts, VssdId v, double reward)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.value = reward;
-        ev.type = TraceEventType::kAgentReward;
-        ev.track = tenantTrack(v);
-        record(ev);
-        counterSample(ts, tenantTrack(v), CounterKind::kReward, reward);
-    }
-
-    void agentTrip(SimTime ts, VssdId v, std::uint64_t reason)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.a = reason;
-        ev.type = TraceEventType::kAgentTrip;
-        ev.track = tenantTrack(v);
-        record(ev);
-    }
-
-    void windowBoundary(SimTime ts, std::uint64_t window_index)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.a = window_index;
-        ev.type = TraceEventType::kWindowBoundary;
-        ev.track = kTrackController;
-        record(ev);
-    }
-
-    void counterSample(SimTime ts, std::uint16_t track,
-                       CounterKind kind, double value)
-    {
-        TraceEvent ev;
-        ev.ts = ts;
-        ev.value = value;
-        ev.type = TraceEventType::kCounter;
-        ev.counter = kind;
-        ev.track = track;
-        record(ev);
-    }
 
     /** Record a fully-formed event into this thread's ring. */
     void record(const TraceEvent &ev);

@@ -300,8 +300,6 @@ IoScheduler::pump(ChannelId ch)
         Vssd *v = vssds_.get(vid);
         const SimTime wait = eq.now() - op.enqueue_time;
         v->queue().onDispatch(wait);
-        FLEETIO_OBS(dev_.obs(),
-                    ioDispatch(eq.now(), vid, op.req->trace_id, ch, wait));
         if (use_stride_)
             stride_.charge(vid);
         if (TokenBucket *tb = findBucket(buckets_, vid))
@@ -329,8 +327,9 @@ IoScheduler::pump(ChannelId ch)
                 dev_.issueProgram(op.ppa, std::move(done));
         }
         FLEETIO_OBS(dev_.obs(),
-                    finishHostPage(op.enqueue_time - req->submit_time, wait,
-                                   req->attr_stages, &req->attr_complete));
+                    ioDispatch(eq.now(), vid, req->trace_id, ch,
+                               op.enqueue_time - req->submit_time, wait,
+                               req->attr_stages, &req->attr_complete));
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include "src/obs/attribution.h"
 #include "src/obs/drift.h"
+#include "src/obs/hub.h"
 #include "src/sim/types.h"
 
 namespace fleetio {
@@ -443,7 +444,7 @@ TEST(Attribution, MacrosCompileToNothingWithoutAHub)
     obs::ObsHub *hub = nullptr;
     int receivers = 0;
     FLEETIO_OBS((++receivers, hub),
-                gsbEvent(0, obs::GsbEvent::kHarvest, 0, 1, 2));
+                gsbEvent(0, obs::TraceEventType::kGsbHarvest, 0, 1, 2));
     EXPECT_EQ(receivers, 1);
     {
         const obs::ObsHub::Scope arm(hub, 0, SegKind::kGcOp);

@@ -231,13 +231,25 @@ TEST(TraceRecorder, MacroIsANoOpOnNullRecorder)
     EXPECT_EQ(evaluated, 0);
 }
 
+/** A hub with only the trace sink on, as the testbed builds it. */
+obs::ObsHub
+traceHub()
+{
+    obs::ObsSinks sinks;
+    sinks.trace = true;
+    return obs::ObsHub(sinks, 0, 0, msec(100));
+}
+
 TEST(TraceRecorder, CountsEventsAndNamesTracks)
 {
-    TraceRecorder rec(64);
-    rec.setTrackName(obs::tenantTrack(0), "tenant-zero");
-    rec.ioSubmit(100, 0, 1, IoType::kRead, 4);
-    rec.ioDispatch(110, 0, 1, 2, 10);
-    rec.ioComplete(150, 0, 1, IoType::kRead, 50);
+    obs::ObsHub hub = traceHub();
+    SimTime stages[obs::kNumStages] = {};
+    SimTime complete = 0;
+    hub.tenantAdded(0, "tenant", kTimeNever);
+    hub.ioSubmit(100, 0, 1, IoType::kRead, 4, stages, &complete);
+    hub.ioDispatch(110, 0, 1, 2, 0, 10, stages, &complete);
+    hub.ioComplete(150, 0, 1, IoType::kRead, 100, 4096, stages);
+    TraceRecorder &rec = *hub.tracer();
     EXPECT_EQ(rec.eventCount(), 3u);
     EXPECT_EQ(rec.droppedCount(), 0u);
     EXPECT_EQ(rec.ringCount(), 1u);
@@ -245,7 +257,7 @@ TEST(TraceRecorder, CountsEventsAndNamesTracks)
     std::ostringstream os;
     rec.writeChromeJson(os);
     const std::string out = os.str();
-    EXPECT_NE(out.find("tenant-zero"), std::string::npos);
+    EXPECT_NE(out.find("tenant-0"), std::string::npos);
     EXPECT_NE(out.find("\"ph\":\"b\""), std::string::npos);
     EXPECT_NE(out.find("\"ph\":\"e\""), std::string::npos);
 }
@@ -286,23 +298,24 @@ TEST(TraceRecorder, PerThreadRingsPreserveEachThreadsOrder)
 
 TEST(TraceRecorder, ChromeJsonParsesBackAndHasRequiredFields)
 {
-    TraceRecorder rec(256);
-    rec.setTrackName(obs::tenantTrack(0), "VDI \"quoted\"\n-0");
-    rec.ioSubmit(1000, 0, 42, IoType::kWrite, 8);
-    rec.ioDispatch(1100, 0, 42, 3, 100);
-    rec.ioComplete(2000, 0, 42, IoType::kWrite, 1000);
-    rec.gcBatch(2100, 0, 3, 17);
-    rec.gcOp(2200, TraceEventType::kGcErase, 3);
-    rec.gsbEvent(2300, TraceEventType::kGsbCreate, 0, 7, 2);
-    rec.agentDecide(2400, 0, 5);
-    rec.agentReward(2500, 0, -0.25);
-    rec.agentTrip(2600, 0, 1);
-    rec.windowBoundary(2700, 9);
-    rec.counterSample(2800, obs::kTrackController,
-                      CounterKind::kUtilization, 0.5);
+    // One of each emit the hub traces.
+    obs::ObsHub hub = traceHub();
+    SimTime stages[obs::kNumStages] = {};
+    SimTime complete = 0;
+    hub.tenantAdded(0, "VDI \"quoted\"\n", kTimeNever);
+    hub.ioSubmit(1000, 0, 42, IoType::kWrite, 8, stages, &complete);
+    hub.ioDispatch(1100, 0, 42, 3, 0, 100, stages, &complete);
+    hub.ioComplete(2000, 0, 42, IoType::kWrite, 1000, 32768, stages);
+    hub.gcBatch(2100, 0, 3, 17);
+    hub.noteErase(3, 12, 2200, 2200, 5200);
+    hub.gsbEvent(2300, TraceEventType::kGsbCreate, 0, 7, 2);
+    hub.agentDecide(2400, 0, 5);
+    hub.agentReward(2500, 0, -0.25);
+    hub.agentTrip(2600, 0, 1);
+    hub.windowClosed(2700, 0.5, 3, 9, {});
 
     std::ostringstream os;
-    rec.writeChromeJson(os);
+    hub.tracer()->writeChromeJson(os);
     const std::string out = os.str();
 
     JsonParser p(out);
@@ -327,9 +340,8 @@ TEST(TraceRecorder, ChromeJsonParsesBackAndHasRequiredFields)
 TEST(TraceRecorder, ExportIsSortedByTimestamp)
 {
     TraceRecorder rec(256);
-    rec.windowBoundary(300, 2);
-    rec.windowBoundary(100, 0);
-    rec.windowBoundary(200, 1);
+    for (const SimTime ts : {300, 100, 200})
+        rec.record({.ts = ts, .type = TraceEventType::kWindowBoundary});
     std::ostringstream os;
     rec.writeChromeJson(os);
     const std::string out = os.str();

@@ -433,14 +433,13 @@ const std::vector<const char *> kObsEmits = {
     // ObsHub
     "tenantAdded", "measurementStarted", "windowClosed",
     "measurementEnded", "setGauge", "ioSubmit", "ioDispatch",
-    "finishHostPage", "zeroFillPage", "ioComplete", "noteRead",
-    "noteProgram", "noteErase", "powerLost", "gcBatch", "gsbEvent",
-    "controllerStarted", "decisionWindow", "agentReward", "agentDecide",
-    "agentTrip", "agentRemoved", "closeDriftWindow",
+    "zeroFillPage", "ioComplete", "noteRead", "noteProgram", "noteErase",
+    "powerLost", "gcBatch", "gsbEvent", "controllerStarted",
+    "decisionWindow", "agentReward", "agentDecide", "agentTrip",
+    "agentRemoved",
     // sinks
-    "gcOp", "windowBoundary", "counterSample", "setTrackName",
-    "resetRequest", "recordRequest", "noteHarvest", "pushContext",
-    "popContext", "recordAction",
+    "setTrackName", "resetRequest", "finishHostPage", "recordRequest",
+    "noteHarvest", "pushContext", "popContext", "recordAction",
 };
 
 /**
@@ -455,26 +454,10 @@ checkObsMacro(Ctx &ctx, FileInfo &f)
         return;
     for (std::size_t li = 0; li < f.code.size(); ++li) {
         const std::string &line = f.code[li];
-        if (line.empty() || line.find("FLEETIO_OBS") != std::string::npos)
+        if (line.find("FLEETIO_OBS") != std::string::npos)
             continue;
         for (const char *m : kObsEmits) {
-            for (std::size_t pos = line.find(m);
-                 pos != std::string::npos;
-                 pos = line.find(m, pos + 1)) {
-                const bool dot = pos >= 1 && line[pos - 1] == '.';
-                const bool arrow = pos >= 2 &&
-                                   line[pos - 2] == '-' &&
-                                   line[pos - 1] == '>';
-                if (!dot && !arrow)
-                    continue;
-                std::size_t j = pos + std::string(m).size();
-                if (j < line.size() && isWordChar(line[j]))
-                    continue;
-                while (j < line.size() &&
-                       std::isspace((unsigned char)line[j]))
-                    ++j;
-                if (j >= line.size() || line[j] != '(')
-                    continue;
+            if (callLike(line, m, /*member=*/true)) {
                 ctx.report(f, int(li) + 1, "obs-macro",
                            std::string("raw obs emit ") + m +
                                " outside src/obs: emit through the hub, "

@@ -185,11 +185,14 @@ containsWord(const std::string &hay, const std::string &needle)
 }
 
 bool
-callLike(const std::string &line, const std::string &name)
+callLike(const std::string &line, const std::string &name, bool member)
 {
     for (std::size_t pos = line.find(name); pos != std::string::npos;
          pos = line.find(name, pos + 1)) {
         if (pos > 0 && isWordChar(line[pos - 1]))
+            continue;
+        if (member && !(pos >= 1 && line[pos - 1] == '.') &&
+            !(pos >= 2 && line.compare(pos - 2, 2, "->") == 0))
             continue;
         std::size_t j = pos + name.size();
         while (j < line.size() &&

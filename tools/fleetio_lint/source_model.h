@@ -38,8 +38,10 @@ std::vector<std::string> splitLines(const std::string &text);
 /** Find @p needle at a word boundary (both ends) in @p hay. */
 bool containsWord(const std::string &hay, const std::string &needle);
 
-/** Match `name (` at a word boundary, e.g. callLike(line, "rand"). */
-bool callLike(const std::string &line, const std::string &name);
+/** Match `name (` at a word boundary, e.g. callLike(line, "rand");
+ *  with @p member, only a receiver-qualified `x.name(` / `x->name(`. */
+bool callLike(const std::string &line, const std::string &name,
+              bool member = false);
 
 /** Slurp @p path into @p out. @return false on open failure. */
 bool readFile(const std::string &path, std::string &out);
