@@ -32,6 +32,9 @@ class ChannelDemandNet
     /** Training loss after fitting (telemetry / tests). */
     double finalLoss() const { return final_loss_; }
 
+    /** The trained weights and last minibatch's gradients (tests). */
+    const rl::ParameterStore &params() const { return store_; }
+
   private:
     static std::array<double, 3> normalize(double r, double w, double k);
 

@@ -38,6 +38,7 @@ class ParameterStore
     Vector &rawValues() { return values_; }
     const Vector &rawValues() const { return values_; }
     Vector &rawGrads() { return grads_; }
+    const Vector &rawGrads() const { return grads_; }
 
     /** Zero the gradient buffer (before accumulating a minibatch). */
     void zeroGrads();
