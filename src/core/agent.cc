@@ -1,5 +1,8 @@
 #include "src/core/agent.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace fleetio {
 
 FleetIoAgent::FleetIoAgent(VssdId vssd, const FleetIoConfig &cfg,
@@ -57,13 +60,24 @@ FleetIoAgent::imitate(const rl::Vector &state,
     constexpr std::size_t kBcCapacity = 4096;
     constexpr int kBcUpdatesPerSample = 2;
 
-    if (bc_batch_.size() < kBcCapacity) {
-        bc_batch_.push_back(BcSample{state, actions, value_target});
+    const std::size_t dim = net_.stateDim();
+    const std::size_t heads = net_.numHeads();
+    const std::size_t width = dim + heads + 1;
+    assert(state.size() == dim && actions.size() == heads);
+    std::size_t stored = bc_rows_.size() / width;
+    double *row;
+    if (stored < kBcCapacity) {
+        bc_rows_.resize(bc_rows_.size() + width);
+        row = bc_rows_.data() + stored++ * width;
     } else {
-        bc_batch_[bc_write_++ % kBcCapacity] =
-            BcSample{state, actions, value_target};
+        row = bc_rows_.data() + (bc_write_++ % kBcCapacity) * width;
     }
-    if (bc_batch_.size() < cfg_.ppo.minibatch)
+    std::copy(state.begin(), state.end(), row);
+    std::copy(actions.begin(), actions.end(), row + dim);
+    row[dim + heads] = value_target;
+
+    const std::size_t rows = cfg_.ppo.minibatch;
+    if (stored < rows)
         return;
 
     if (!bc_opt_) {
@@ -71,17 +85,25 @@ FleetIoAgent::imitate(const rl::Vector &state,
         acfg.lr = 3e-3;  // supervised cloning tolerates a larger step
         bc_opt_ = std::make_unique<rl::Adam>(net_.params(), acfg);
     }
-    const double inv_b = 1.0 / double(cfg_.ppo.minibatch);
+    const double inv_b = 1.0 / double(rows);
     for (int u = 0; u < kBcUpdatesPerSample; ++u) {
         net_.params().zeroGrads();
-        for (std::size_t k = 0; k < cfg_.ppo.minibatch; ++k) {
-            const BcSample &s =
-                bc_batch_[rng_.uniformInt(bc_batch_.size())];
-            const auto ev = net_.evaluate(s.state, s.actions);
-            // Minimize -logP(expert) + 0.5 (V - target)^2.
-            const double dvalue = (ev.value - s.value_target) * inv_b;
-            net_.backward(s.actions, -inv_b, 0.0, dvalue);
+        rl::Minibatch &mb = net_.minibatch(rows);
+        for (std::size_t k = 0; k < rows; ++k) {
+            const double *s =
+                bc_rows_.data() + rng_.uniformInt(stored) * width;
+            std::copy_n(s, dim, mb.states.begin() + k * dim);
+            for (std::size_t h = 0; h < heads; ++h)
+                mb.actions[k * heads + h] = std::size_t(s[dim + h]);
+            mb.dvalue[k] = s[dim + heads];  // the target, until evaluate()
         }
+        net_.evaluate(rows);
+        // Minimize -logP(expert) + 0.5 (V - target)^2.
+        for (std::size_t k = 0; k < rows; ++k) {
+            mb.dlogp[k] = -inv_b;
+            mb.dvalue[k] = (mb.evals[k].value - mb.dvalue[k]) * inv_b;
+        }
+        net_.backward(rows, 0.0);
         bc_opt_->step();
     }
 }
@@ -152,10 +174,7 @@ FleetIoAgent::train(const rl::Vector &bootstrap_state)
     rl::PpoTrainer::Stats stats;
     if (!training_ || rollout_.size() < cfg_.ppo.minibatch)
         return stats;
-    const auto ev = net_.evaluate(
-        bootstrap_state,
-        std::vector<std::size_t>(mapper_.spec().numHeads(), 0));
-    stats = trainer_.update(rollout_, ev.value);
+    stats = trainer_.update(rollout_, net_.value(bootstrap_state));
     rollout_.clear();
     return stats;
 }

@@ -80,9 +80,6 @@ class FleetIoAgent
     /** Transitions waiting for the next update. */
     std::size_t rolloutSize() const { return rollout_.size(); }
 
-    /** Mean reward of the transitions since the last train() call. */
-    double meanRecentReward() const { return rollout_.meanReward(); }
-
     rl::PolicyNetwork &policy() { return net_; }
     const rl::PolicyNetwork &policy() const { return net_; }
     const ActionMapper &mapper() const { return mapper_; }
@@ -121,13 +118,6 @@ class FleetIoAgent
     std::uint64_t decisions() const { return decisions_; }
 
   private:
-    struct BcSample
-    {
-        rl::Vector state;
-        std::vector<std::size_t> actions;
-        double value_target;
-    };
-
     VssdId vssd_;
     const FleetIoConfig &cfg_;
     ActionMapper mapper_;
@@ -135,7 +125,9 @@ class FleetIoAgent
     rl::PpoTrainer trainer_;
     rl::RolloutBuffer rollout_;
     Rng rng_;
-    std::vector<BcSample> bc_batch_;
+    // Cloning replay: one flat row per sample, its state, its actions
+    // (as doubles) and its value target.
+    std::vector<double> bc_rows_;
     std::size_t bc_write_ = 0;
     std::unique_ptr<rl::Adam> bc_opt_;
 

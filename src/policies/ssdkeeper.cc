@@ -16,8 +16,8 @@ constexpr double kChannelMBps = 64.0;
 
 ChannelDemandNet::ChannelDemandNet()
     : rng_(0xC0FFEEull),
-      trunk_(store_, 3, {16, 16}, rng_),
-      head_(store_, 16, 1, rng_, 1.0)
+      trunk_(store_, 3, {kHidden, kHidden}, rng_),
+      head_(store_, kHidden, 1, rng_, 1.0)
 {
     // Synthetic supervision: demand grows with total bandwidth (with
     // 15 % headroom) and slightly with request size; exactly the signal
@@ -28,27 +28,31 @@ ChannelDemandNet::ChannelDemandNet()
     rl::Adam opt(store_, acfg);
 
     const int kSteps = 4000;
-    const int kBatch = 16;
+    const std::size_t kBatch = 16;
     double loss = 0.0;
-    rl::Vector dh(trunk_.outSize());
+    rl::Vector x(kBatch * 3), acts(kBatch * trunk_.actsPerRow());
+    rl::Vector y(kBatch), target(kBatch), dy(kBatch), dh(kBatch * kHidden);
     for (int step = 0; step < kSteps; ++step) {
         store_.zeroGrads();
-        loss = 0.0;
-        for (int b = 0; b < kBatch; ++b) {
+        for (std::size_t b = 0; b < kBatch; ++b) {
             const double r = rng_.uniform(0.0, 900.0);
             const double w = rng_.uniform(0.0, 900.0);
             const double k = rng_.uniform(4.0, 256.0);
-            const double target = std::clamp(
+            target[b] = std::clamp(
                 (r + w) / kChannelMBps * 1.15 + k / 1024.0, 0.5, 16.0);
-            const rl::Vector &h = trunk_.forward(normalize(r, w, k));
-            double y = 0.0;
-            head_.forward(h, std::span<double>(&y, 1));
-            const double err = y - target;
-            loss += 0.5 * err * err;
-            const double dy = err / double(kBatch);
-            head_.backward(std::span<const double>(&dy, 1), h, dh);
-            trunk_.backward(dh);
+            const auto in = normalize(r, w, k);
+            std::copy(in.begin(), in.end(), x.begin() + b * 3);
         }
+        const std::span<const double> h = trunk_.forward(x, acts);
+        head_.forward(h, y);
+        loss = 0.0;
+        for (std::size_t b = 0; b < kBatch; ++b) {
+            const double err = y[b] - target[b];
+            loss += 0.5 * err * err;
+            dy[b] = err / double(kBatch);
+        }
+        head_.backward(dy, h, dh);
+        trunk_.backward(x, acts, dh);
         opt.step();
     }
     final_loss_ = loss / kBatch;
@@ -64,12 +68,11 @@ double
 ChannelDemandNet::predict(double read_mbps, double write_mbps,
                           double avg_io_kb) const
 {
-    // Every cell shares one trained net (demandNet() is a static), and
-    // a forward pass writes the trunk's activation workspaces, so each
-    // prediction runs on its own copy of the trunk.
-    rl::Mlp trunk = trunk_;
-    const rl::Vector &h =
-        trunk.forward(normalize(read_mbps, write_mbps, avg_io_kb));
+    // Every cell shares one trained net (demandNet() is a static), so a
+    // prediction keeps its activations on its own stack.
+    const auto x = normalize(read_mbps, write_mbps, avg_io_kb);
+    std::array<double, 2 * kHidden> acts;
+    const std::span<const double> h = trunk_.forward(x, acts);
     double y = 0.0;
     head_.forward(h, std::span<double>(&y, 1));
     return std::max(0.0, y);

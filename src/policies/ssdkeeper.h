@@ -36,6 +36,9 @@ class ChannelDemandNet
     const rl::ParameterStore &params() const { return store_; }
 
   private:
+    /** Width of each of the trunk's two hidden layers. */
+    static constexpr std::size_t kHidden = 16;
+
     static std::array<double, 3> normalize(double r, double w, double k);
 
     rl::ParameterStore store_;

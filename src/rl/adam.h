@@ -33,7 +33,6 @@ class Adam
     std::uint64_t t() const { return t_; }
 
     const Config &config() const { return cfg_; }
-    void setLearningRate(double lr) { cfg_.lr = lr; }
 
     /** Moment vectors (checkpointing). */
     const Vector &firstMoments() const { return m_; }

@@ -31,7 +31,6 @@ class Categorical
     /** Recompute the distribution for @p logits (numerically stable). */
     void setLogits(std::span<const double> logits);
 
-    std::size_t numClasses() const { return probs_.size(); }
     const Vector &probs() const { return probs_; }
 
     /** Draw a class index. */

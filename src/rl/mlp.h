@@ -2,8 +2,17 @@
  * @file
  * Feed-forward building blocks: a Linear layer with manual backprop and
  * an Mlp trunk of tanh-activated Linear layers (paper Table 3: hidden
- * layer sizes [50, 50]). Both write into caller or member buffers, so a
- * forward/backward pass allocates nothing.
+ * layer sizes [50, 50]).
+ *
+ * Both work on blocks of rows, one row per sample, stored row after
+ * row. A training minibatch is one block; single-state inference is a
+ * block of one row. The kernels run rows (or the independent outputs
+ * of a row) side by side but never split one sum: each output adds its
+ * inputs in input order, each weight and bias gradient adds its rows in
+ * row order and each input gradient adds its outputs in output order.
+ * So a block gives bit for bit what its rows would give one at a time
+ * (DESIGN.md §7). Every buffer is the caller's or a member sized ahead,
+ * so a pass allocates nothing.
  */
 #pragma once
 
@@ -34,14 +43,16 @@ class Linear
     std::size_t outSize() const { return out_; }
 
     /**
-     * y = W x + b. Each y[o] is b[o] plus the products added in order
-     * of the input index, whatever the batching of outputs.
+     * y = W x + b for each row of a block: @p x holds rows * inSize()
+     * values, @p y rows * outSize(). Each y[r][o] is b[o] plus the
+     * products added in order of the input index.
      */
     void forward(std::span<const double> x, std::span<double> y) const;
 
     /**
-     * Backprop: given dL/dy and the forward input x, accumulate dW and
-     * db into the store. Writes dL/dx into @p dx unless it is empty.
+     * Backprop of a block: given dL/dy and the forward input x, add
+     * each row's dW and db into the store, row after row. Writes dL/dx
+     * (rows * inSize()) into @p dx unless it is empty.
      */
     void backward(std::span<const double> dy, std::span<const double> x,
                   std::span<double> dx);
@@ -55,7 +66,8 @@ class Linear
 /**
  * A stack of Linear layers with tanh activations after every layer
  * (including the last — callers wanting raw logits add their own head).
- * Caches activations from the latest forward() for backward().
+ * The caller owns the activations of a forward pass and hands them back
+ * to backward().
  */
 class Mlp
 {
@@ -66,30 +78,36 @@ class Mlp
     std::size_t inSize() const { return in_; }
     std::size_t outSize() const { return out_; }
 
-    /**
-     * Forward pass; caches the input and the activations. The returned
-     * output stays valid until the next forward().
-     */
-    const Vector &forward(std::span<const double> x);
-
-    /** The output of the latest forward(). */
-    const Vector &output() const { return acts_.back(); }
+    /** Activations one row keeps: the widths of all layers, summed. */
+    std::size_t actsPerRow() const { return acts_per_row_; }
 
     /**
-     * Backward through the cached activations; accumulates parameter
-     * grads. Must follow a forward(). dL/dinput is not computed: no
-     * caller reads it.
+     * Forward a block: @p x holds rows * inSize() values. Writes every
+     * layer's tanh output into @p acts (at least rows * actsPerRow()),
+     * layer after layer, and returns the last layer's rows * outSize()
+     * values, a view into @p acts. Writes no member, so concurrent
+     * forwards on one Mlp are safe.
      */
-    void backward(std::span<const double> dout);
+    std::span<const double> forward(std::span<const double> x,
+                                    std::span<double> acts) const;
+
+    /**
+     * Backward of the block forward() computed from @p x into @p acts:
+     * given dL/dout (rows * outSize()), add each row's parameter
+     * gradients, row after row. dL/dinput is not computed: no caller
+     * reads it.
+     */
+    void backward(std::span<const double> x, std::span<const double> acts,
+                  std::span<const double> dout);
+
+    /** Size the backward workspaces for blocks of up to @p rows rows. */
+    void reserveRows(std::size_t rows);
 
   private:
-    std::size_t in_, out_;
+    std::size_t in_, out_, widest_ = 0, acts_per_row_ = 0;
     std::vector<Linear> layers_;
-    // Workspaces, sized at construction: input_ is the latest forward
-    // input, acts_[i] the tanh output of layer i; dz_ and grad_ hold
-    // dL/dz and dL/dy of the layer backward() is at.
-    Vector input_;
-    std::vector<Vector> acts_;
+    // Backward workspaces, rows * widest_ each: dL/dz of the layer
+    // backward() is at, and dL/dy of the layer below it.
     Vector dz_, grad_;
 };
 

@@ -26,93 +26,175 @@ PolicyNetwork::PolicyNetwork(std::size_t state_dim, const ActionSpec &spec,
                              const std::vector<std::size_t> &hidden,
                              std::uint64_t seed)
     : state_dim_(state_dim),
-      spec_(spec),
       init_rng_(seed),
       trunk_(store_, state_dim, hidden, init_rng_),
       heads_(buildHeads(store_, trunk_.outSize(), spec, init_rng_)),
       value_head_(store_, trunk_.outSize(), 1, init_rng_, /*gain=*/1.0),
-      dx_(trunk_.outSize()),
-      d_trunk_(trunk_.outSize())
+      logits_(spec.head_sizes.size())
 {
     assert(!spec.head_sizes.empty());
-    for (std::size_t k : spec.head_sizes) {
-        logits_.emplace_back(k);
-        dists_.emplace_back(logits_.back());
-    }
-    dlogits_.resize(*std::max_element(spec.head_sizes.begin(),
-                                      spec.head_sizes.end()));
+    mb_.state_dim = state_dim;
+    mb_.heads = heads_.size();
+}
+
+Minibatch &
+PolicyNetwork::minibatch(std::size_t rows)
+{
+    reserveRows(rows);
+    return mb_;
 }
 
 void
-PolicyNetwork::forward(const Vector &state)
+PolicyNetwork::reserveRows(std::size_t rows)
 {
-    assert(state.size() == state_dim_);
-    const Vector &trunk_out = trunk_.forward(state);
-    for (std::size_t i = 0; i < heads_.size(); ++i) {
-        heads_[i].forward(trunk_out, logits_[i]);
-        dists_[i].setLogits(logits_[i]);
+    if (rows <= rows_cap_)
+        return;
+    rows_cap_ = rows;
+    mb_.states.resize(rows * state_dim_);
+    mb_.actions.resize(rows * heads_.size());
+    mb_.evals.resize(rows);
+    mb_.dlogp.resize(rows);
+    mb_.dvalue.resize(rows);
+    const std::size_t w = trunk_.outSize();
+    std::size_t widest = 0;
+    acts_.resize(rows * trunk_.actsPerRow());
+    dists_.clear();
+    for (std::size_t h = 0; h < heads_.size(); ++h) {
+        const std::size_t k = heads_[h].outSize();
+        logits_[h].assign(rows * k, 0.0);
+        for (std::size_t r = 0; r < rows; ++r)
+            dists_.emplace_back(std::span(logits_[h]).subspan(r * k, k));
+        widest = std::max(widest, k);
     }
-    value_head_.forward(trunk_out, std::span<double>(&value_, 1));
+    values_.resize(rows);
+    dlogits_.resize(rows * widest);
+    dx_.resize(rows * w);
+    d_trunk_.resize(rows * w);
+    value_x_.resize(rows * w);
+    value_dy_.resize(rows);
+    value_rows_.resize(rows);
+    trunk_.reserveRows(rows);
+}
+
+void
+PolicyNetwork::forward(std::span<const double> states, std::size_t rows)
+{
+    assert(states.size() >= rows * state_dim_);
+    reserveRows(rows);
+    const std::span<const double> trunk_out =
+        trunk_.forward(states.first(rows * state_dim_), acts_);
+    for (std::size_t h = 0; h < heads_.size(); ++h) {
+        const std::size_t k = heads_[h].outSize();
+        const std::span<double> z(logits_[h].data(), rows * k);
+        heads_[h].forward(trunk_out, z);
+        for (std::size_t r = 0; r < rows; ++r)
+            dists_[h * rows_cap_ + r].setLogits(z.subspan(r * k, k));
+    }
+    value_head_.forward(trunk_out, std::span(values_.data(), rows));
 }
 
 PolicyNetwork::ActResult
 PolicyNetwork::act(const Vector &state, Rng &rng, bool deterministic)
 {
-    forward(state);
+    assert(state.size() == state_dim_);
+    forward(state, 1);
     ActResult res;
-    res.value = value_;
-    res.actions.reserve(dists_.size());
-    for (const Categorical &dist : dists_) {
-        const std::size_t a =
-            deterministic ? dist.argmax() : dist.sample(rng);
+    res.value = values_[0];
+    res.actions.reserve(heads_.size());
+    for (std::size_t h = 0; h < heads_.size(); ++h) {
+        const Categorical &d = dist(h, 0);
+        const std::size_t a = deterministic ? d.argmax() : d.sample(rng);
         res.actions.push_back(a);
-        res.log_prob += dist.logProb(a);
-        res.entropy += dist.entropy();
+        res.log_prob += d.logProb(a);
+        res.entropy += d.entropy();
     }
     return res;
 }
 
-PolicyNetwork::Eval
-PolicyNetwork::evaluate(const Vector &state,
-                        const std::vector<std::size_t> &actions)
+double
+PolicyNetwork::value(const Vector &state)
 {
-    assert(actions.size() == heads_.size());
-    forward(state);
-    Eval ev;
-    ev.value = value_;
-    for (std::size_t i = 0; i < heads_.size(); ++i) {
-        ev.log_prob += dists_[i].logProb(actions[i]);
-        ev.entropy += dists_[i].entropy();
-    }
-    return ev;
+    assert(state.size() == state_dim_);
+    forward(state, 1);
+    return values_[0];
 }
 
 void
-PolicyNetwork::backward(const std::vector<std::size_t> &actions,
-                        double dlogp, double dentropy, double dvalue)
+PolicyNetwork::evaluate(std::size_t rows)
 {
-    assert(actions.size() == heads_.size());
-    const Vector &trunk_out = trunk_.output();
-    std::fill(d_trunk_.begin(), d_trunk_.end(), 0.0);
+    assert(rows <= rows_cap_);
+    forward(mb_.states, rows);
+    const std::size_t n_heads = heads_.size();
+    for (std::size_t r = 0; r < rows; ++r) {
+        Eval &ev = mb_.evals[r];
+        ev = Eval{};
+        ev.value = values_[r];
+        for (std::size_t h = 0; h < n_heads; ++h) {
+            const Categorical &d = dist(h, r);
+            ev.log_prob += d.logProb(mb_.actions[r * n_heads + h]);
+            ev.entropy += d.entropy();
+        }
+    }
+}
+
+void
+PolicyNetwork::backward(std::size_t rows, double dentropy)
+{
+    const std::size_t w = trunk_.outSize();
+    const std::size_t n_heads = heads_.size();
+    const std::span<const double> trunk_out(
+        acts_.data() + rows * (trunk_.actsPerRow() - w), rows * w);
+    const std::span<double> d_trunk(d_trunk_.data(), rows * w);
+    const std::span<double> dx(dx_.data(), rows * w);
+    std::fill(d_trunk.begin(), d_trunk.end(), 0.0);
     // Each head's dL/dx is summed on its own in dx_, then added to
     // d_trunk_ head by head, the order that keeps the sums bit-identical.
-    for (std::size_t i = 0; i < heads_.size(); ++i) {
-        const std::span<double> dlogits(dlogits_.data(),
-                                        heads_[i].outSize());
-        dists_[i].logProbGradLogits(actions[i], dlogp, dlogits);
-        if (dentropy != 0.0)
-            dists_[i].addEntropyGradLogits(dentropy, dlogits);
-        heads_[i].backward(dlogits, trunk_out, dx_);
-        axpy(1.0, dx_, d_trunk_);
+    for (std::size_t h = 0; h < n_heads; ++h) {
+        const std::size_t k = heads_[h].outSize();
+        const std::span<double> dlogits(dlogits_.data(), rows * k);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::span<double> g = dlogits.subspan(r * k, k);
+            const Categorical &d = dist(h, r);
+            d.logProbGradLogits(mb_.actions[r * n_heads + h], mb_.dlogp[r],
+                                g);
+            if (dentropy != 0.0)
+                d.addEntropyGradLogits(dentropy, g);
+        }
+        heads_[h].backward(dlogits, trunk_out, dx);
+        for (std::size_t j = 0; j < d_trunk.size(); ++j)
+            d_trunk[j] += dx[j];
     }
 
-    if (dvalue != 0.0) {
-        value_head_.backward(std::span<const double>(&dvalue, 1),
-                             trunk_out, dx_);
-        axpy(1.0, dx_, d_trunk_);
+    // The value head runs on the rows with a nonzero coefficient only,
+    // packed in row order, as a one-row-at-a-time pass skips the rest.
+    std::size_t n = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+        if (mb_.dvalue[r] == 0.0)
+            continue;
+        std::copy_n(trunk_out.begin() + r * w, w,
+                    value_x_.begin() + n * w);
+        value_dy_[n] = mb_.dvalue[r];
+        value_rows_[n++] = r;
+    }
+    if (n > 0) {
+        value_head_.backward(std::span(value_dy_.data(), n),
+                             std::span(value_x_.data(), n * w),
+                             dx.first(n * w));
+        for (std::size_t k = 0; k < n; ++k)
+            for (std::size_t i = 0; i < w; ++i)
+                d_trunk[value_rows_[k] * w + i] += dx[k * w + i];
     }
 
-    trunk_.backward(d_trunk_);
+    trunk_.backward(std::span(mb_.states.data(), rows * state_dim_),
+                    std::span(acts_.data(), rows * trunk_.actsPerRow()),
+                    d_trunk);
+}
+
+std::span<const double>
+PolicyNetwork::logits(std::size_t head, std::size_t row) const
+{
+    const std::size_t k = heads_[head].outSize();
+    return std::span(logits_[head]).subspan(row * k, k);
 }
 
 void

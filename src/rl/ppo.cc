@@ -1,6 +1,7 @@
 #include "src/rl/ppo.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -44,18 +45,30 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
 
         for (std::size_t start = 0; start < n;
              start += cfg_.minibatch) {
-            const std::size_t end =
-                std::min(start + cfg_.minibatch, n);
-            const double inv_b = 1.0 / double(end - start);
+            const std::size_t rows =
+                std::min(start + cfg_.minibatch, n) - start;
+            const double inv_b = 1.0 / double(rows);
             net_.params().zeroGrads();
 
-            for (std::size_t k = start; k < end; ++k) {
-                const std::size_t i = order[k];
+            Minibatch &mb = net_.minibatch(rows);
+            for (std::size_t k = 0; k < rows; ++k) {
+                const Transition &t = rollout[order[start + k]];
+                assert(t.state.size() == mb.state_dim);
+                assert(t.actions.size() == mb.heads);
+                std::copy(t.state.begin(), t.state.end(),
+                          mb.states.begin() + k * mb.state_dim);
+                std::copy(t.actions.begin(), t.actions.end(),
+                          mb.actions.begin() + k * mb.heads);
+            }
+            net_.evaluate(rows);
+
+            for (std::size_t k = 0; k < rows; ++k) {
+                const std::size_t i = order[start + k];
                 const Transition &t = rollout[i];
                 const double adv = rollout.advantage(i);
                 const double ret = rollout.returnAt(i);
 
-                const auto ev = net_.evaluate(t.state, t.actions);
+                const Eval &ev = mb.evals[k];
                 const double ratio = std::exp(ev.log_prob - t.log_prob);
                 const double surr1 = ratio * adv;
                 const double clipped =
@@ -67,12 +80,10 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
                 double dlogp = 0.0;
                 if (surr1 <= surr2)
                     dlogp = -adv * ratio * inv_b;
+                mb.dlogp[k] = dlogp;
 
                 const double verr = ev.value - ret;
-                const double dvalue = cfg_.vf_coef * verr * inv_b;
-                const double dentropy = -cfg_.ent_coef * inv_b;
-
-                net_.backward(t.actions, dlogp, dentropy, dvalue);
+                mb.dvalue[k] = cfg_.vf_coef * verr * inv_b;
 
                 sum_pl += -std::min(surr1, surr2);
                 sum_vl += 0.5 * verr * verr;
@@ -80,6 +91,8 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
                 sum_kl += t.log_prob - ev.log_prob;
                 ++count;
             }
+            net_.backward(rows, -cfg_.ent_coef * inv_b);
+
             // Non-finite gradient guard: a single NaN/inf component
             // would propagate through Adam into every weight. Drop the
             // minibatch instead and count the event (zeroGrads at the

@@ -16,7 +16,8 @@ namespace fleetio::rl {
 
 /**
  * Clipped-surrogate PPO over a PolicyNetwork. Hyper-parameters default
- * to the paper's Table 3 (lr 1e-4, gamma 0.9, minibatch 32).
+ * to the paper's Table 3 (lr 1e-4, gamma 0.9, minibatch 32). Each
+ * minibatch runs as one block through the network.
  */
 class PpoTrainer
 {

@@ -127,7 +127,7 @@ TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
 TEST(AllocGate, FleetIo)
 {
     const Cell c = runCell(gateSpec(PolicyKind::kFleetIo));
-    expectAllocs(c, 495300, 16612);
+    expectAllocs(c, 492980, 16612);
 }
 
 TEST(AllocGate, FleetIoWithFaults)
@@ -141,7 +141,7 @@ TEST(AllocGate, FleetIoWithFaults)
     f.wear_error_growth = 1e-5;
     const Cell c = runCell(spec);
     EXPECT_GT(c.tb->faultCounters().read_retries, 0u);
-    expectAllocs(c, 504055, 16125);
+    expectAllocs(c, 501727, 16125);
 }
 
 TEST(AllocGate, FleetIoWithChurn)
@@ -174,7 +174,7 @@ TEST(AllocGate, FleetIoWithChurn)
     ASSERT_NE(c.tb->elastic(), nullptr);
     EXPECT_EQ(c.tb->elastic()->stats().removals_completed, 1u);
     EXPECT_EQ(c.tb->elastic()->stats().admitted, 1u);
-    expectAllocs(c, 495300, 25449);
+    expectAllocs(c, 492980, 25412);
 }
 
 TEST(AllocGate, HardwareIsolationWithPowerLoss)
@@ -191,7 +191,7 @@ TEST(AllocGate, HardwareIsolationWithPowerLoss)
 TEST(AllocGate, SsdKeeper)
 {
     const Cell c = runCell(gateSpec(PolicyKind::kSsdKeeper));
-    expectAllocs(c, 6294, 23852);
+    expectAllocs(c, 6266, 23852);
 }
 
 }  // namespace

@@ -49,14 +49,20 @@ TEST(Linear, ForwardComputesAffineMap)
 
 TEST(Linear, BackwardMatchesNumericalGradient)
 {
+    // Five rows: a four-row block and a lone row in forward(), two
+    // two-row blocks and a lone row for dL/dx in backward().
+    constexpr std::size_t kRows = 5;
     ParameterStore ps;
     Rng rng(2);
     Linear lin(ps, 4, 3, rng);
-    const Vector x{0.3, -0.7, 1.1, 0.05};
-    const Vector target{0.5, -0.25, 1.0};
+    Vector x(kRows * 4), target(kRows * 3);
+    for (double &v : x)
+        v = rng.normal(0.0, 1.0);
+    for (double &v : target)
+        v = rng.normal(0.0, 1.0);
 
     auto loss = [&]() {
-        Vector y(3);
+        Vector y(kRows * 3);
         lin.forward(x, y);
         double l = 0;
         for (std::size_t i = 0; i < y.size(); ++i)
@@ -66,7 +72,7 @@ TEST(Linear, BackwardMatchesNumericalGradient)
 
     const Vector num = numericalGrad(ps, loss);
     ps.zeroGrads();
-    Vector y(3);
+    Vector y(kRows * 3);
     lin.forward(x, y);
     Vector dy(y.size());
     for (std::size_t i = 0; i < y.size(); ++i)
@@ -81,15 +87,18 @@ TEST(Linear, BackwardReturnsInputGradient)
     ParameterStore ps;
     Rng rng(3);
     Linear lin(ps, 3, 2, rng);
-    const Vector x{0.1, 0.2, 0.3};
-    const Vector dy{1.0, -1.0};
-    Vector dx(3, 99.0);  // overwritten, not accumulated into
+    // Two rows: dx = dy W for each.
+    const Vector x{0.1, 0.2, 0.3, -0.4, 0.5, -0.6};
+    const Vector dy{1.0, -1.0, 0.5, 2.0};
+    Vector dx(6, 99.0);  // overwritten, not accumulated into
     lin.backward(dy, x, dx);
-    // dx = W^T dy.
     const double *w = ps.values(0);
-    for (std::size_t i = 0; i < 3; ++i) {
-        const double expect = w[i] * dy[0] + w[3 + i] * dy[1];
-        EXPECT_NEAR(dx[i], expect, 1e-12);
+    for (std::size_t r = 0; r < 2; ++r) {
+        for (std::size_t i = 0; i < 3; ++i) {
+            const double expect =
+                w[i] * dy[r * 2] + w[3 + i] * dy[r * 2 + 1];
+            EXPECT_NEAR(dx[r * 3 + i], expect, 1e-12);
+        }
     }
 }
 
@@ -100,7 +109,11 @@ TEST(Mlp, OutputBoundedByTanh)
     Mlp mlp(ps, 5, {8, 8}, rng);
     EXPECT_EQ(mlp.inSize(), 5u);
     EXPECT_EQ(mlp.outSize(), 8u);
-    const Vector y = mlp.forward(Vector{10, -10, 5, -5, 0});
+    EXPECT_EQ(mlp.actsPerRow(), 16u);
+    const Vector x{10, -10, 5, -5, 0};
+    Vector acts(mlp.actsPerRow());
+    const std::span<const double> y = mlp.forward(x, acts);
+    ASSERT_EQ(y.size(), 8u);
     for (double v : y) {
         EXPECT_LE(v, 1.0);
         EXPECT_GE(v, -1.0);
@@ -109,23 +122,25 @@ TEST(Mlp, OutputBoundedByTanh)
 
 TEST(Mlp, BackwardMatchesNumericalGradient)
 {
+    constexpr std::size_t kRows = 3;
     ParameterStore ps;
     Rng rng(5);
     Mlp mlp(ps, 3, {6, 4}, rng);
-    const Vector x{0.25, -0.5, 0.75};
+    const Vector x{0.25, -0.5, 0.75, -0.1, 0.9, 0.3, 0.6, 0.0, -0.8};
+    Vector acts(kRows * mlp.actsPerRow());
 
     auto loss = [&]() {
-        const Vector y = mlp.forward(x);
         double l = 0;
-        for (double v : y)
+        for (double v : mlp.forward(x, acts))
             l += 0.5 * v * v;
         return l;
     };
 
     const Vector num = numericalGrad(ps, loss);
     ps.zeroGrads();
-    const Vector y = mlp.forward(x);
-    mlp.backward(y);  // dL/dy = y for 0.5*||y||^2
+    const std::span<const double> y = mlp.forward(x, acts);
+    const Vector dout(y.begin(), y.end());  // dL/dy = y for 0.5*||y||^2
+    mlp.backward(x, acts, dout);
     for (std::size_t i = 0; i < ps.size(); ++i)
         EXPECT_NEAR(ps.rawGrads()[i], num[i], 1e-5) << "param " << i;
 }
@@ -136,12 +151,14 @@ TEST(Mlp, GradientsAccumulateAcrossBackwardCalls)
     Rng rng(6);
     Mlp mlp(ps, 2, {4}, rng);
     const Vector x{0.5, -0.5};
+    Vector acts(mlp.actsPerRow());
     ps.zeroGrads();
-    Vector y = mlp.forward(x);
-    mlp.backward(y);
+    const std::span<const double> y = mlp.forward(x, acts);
+    const Vector dout(y.begin(), y.end());
+    mlp.backward(x, acts, dout);
     const Vector once = ps.rawGrads();
-    y = mlp.forward(x);
-    mlp.backward(y);
+    mlp.forward(x, acts);
+    mlp.backward(x, acts, dout);
     for (std::size_t i = 0; i < ps.size(); ++i)
         EXPECT_NEAR(ps.rawGrads()[i], 2 * once[i], 1e-9);
 }

@@ -342,19 +342,20 @@ sameBits(const Vector &a, const Vector &b)
 }
 
 /**
- * One 32-sample minibatch through PolicyNetwork and through the seed's
- * math, from the same parameters: logits, value, log-prob and entropy
- * of every sample, and the accumulated gradients, must agree bit for
- * bit. A quarter of the samples go through act() (sampled and greedy)
- * instead of evaluate(). dentropy is zero on even samples and dvalue on
- * every third, so both branches of backward() run.
+ * Blocks of 32, 6 and 1 rows through PolicyNetwork, and the same rows
+ * one at a time through the seed's math, from the same parameters:
+ * logits, value, log-prob and entropy of every row, and the gradients
+ * accumulated over all three blocks, must agree bit for bit. dentropy
+ * is zero in the 6-row block only; dvalue is exactly zero on every
+ * third row, which must skip the value head. act() is checked on single
+ * states, sampled and greedy.
  */
 void
 expectBitIdenticalToSeed(const std::vector<std::size_t> &hidden,
                          const ActionSpec &spec, std::uint64_t seed)
 {
     constexpr std::size_t kStateDim = 33;
-    constexpr int kBatch = 32;
+    const std::size_t n_heads = spec.numHeads();
     PolicyNetwork net(kStateDim, spec, hidden, seed);
     seed::Network ref(kStateDim, spec, hidden);
     ASSERT_EQ(ref.params().size(), net.numParams());
@@ -365,43 +366,75 @@ expectBitIdenticalToSeed(const std::vector<std::size_t> &hidden,
     ref.params().rawValues() = net.params().rawValues();
     net.params().zeroGrads();
     ref.params().zeroGrads();
-
-    for (int k = 0; k < kBatch; ++k) {
-        SCOPED_TRACE(k);
+    auto randomState = [&]() {
         Vector state(kStateDim);
         for (double &x : state)
             x = inputs.normal(0.0, 1.5);
-        std::vector<std::size_t> actions;
-        PolicyNetwork::Eval got, want;
-        if (k % 4 == 0) {
-            const bool greedy = k % 8 == 0;
-            const auto a = net.act(state, net_rng, greedy);
-            const auto b = ref.act(state, ref_rng, greedy);
-            ASSERT_EQ(a.actions, b.actions);
-            actions = a.actions;
-            got = {a.log_prob, a.entropy, a.value};
-            want = {b.log_prob, b.entropy, b.value};
-        } else {
-            for (std::size_t n : spec.head_sizes)
-                actions.push_back(inputs.uniformInt(std::uint64_t(n)));
-            got = net.evaluate(state, actions);
-            want = ref.evaluate(state, actions);
-        }
-        for (std::size_t h = 0; h < spec.numHeads(); ++h)
-            EXPECT_TRUE(sameBits(net.logits(h), ref.logits(h))) << "head " << h;
-        EXPECT_TRUE(sameBits(got.value, want.value));
-        EXPECT_TRUE(sameBits(got.log_prob, want.log_prob));
-        EXPECT_TRUE(sameBits(got.entropy, want.entropy));
+        return state;
+    };
 
-        const double dlogp = inputs.normal(0.0, 1.0) / kBatch;
-        const double dentropy = k % 2 == 0 ? 0.0 : -0.01 / kBatch;
-        const double dvalue =
-            k % 3 == 0 ? 0.0 : 0.5 * (got.value - inputs.normal()) / kBatch;
-        net.backward(actions, dlogp, dentropy, dvalue);
-        ref.backward(actions, dlogp, dentropy, dvalue);
+    for (int k = 0; k < 8; ++k) {
+        SCOPED_TRACE(k);
+        const Vector state = randomState();
+        const bool greedy = k % 2 == 0;
+        const auto a = net.act(state, net_rng, greedy);
+        const auto b = ref.act(state, ref_rng, greedy);
+        ASSERT_EQ(a.actions, b.actions);
+        EXPECT_TRUE(sameBits(a.value, b.value));
+        EXPECT_TRUE(sameBits(a.log_prob, b.log_prob));
+        EXPECT_TRUE(sameBits(a.entropy, b.entropy));
+        for (std::size_t h = 0; h < n_heads; ++h) {
+            const std::span<const double> got = net.logits(h, 0);
+            EXPECT_TRUE(sameBits(Vector(got.begin(), got.end()),
+                                 ref.logits(h)))
+                << "head " << h;
+        }
+    }
+
+    Minibatch &mb = net.minibatch(32);
+    for (const std::size_t rows : {32u, 6u, 1u}) {
+        SCOPED_TRACE(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const Vector state = randomState();
+            std::copy(state.begin(), state.end(),
+                      mb.states.begin() + r * kStateDim);
+            for (std::size_t h = 0; h < n_heads; ++h) {
+                mb.actions[r * n_heads + h] =
+                    inputs.uniformInt(std::uint64_t(spec.head_sizes[h]));
+            }
+        }
+        net.evaluate(rows);
+        const double dentropy = rows == 6 ? 0.0 : -0.01 / double(rows);
+        for (std::size_t r = 0; r < rows; ++r) {
+            SCOPED_TRACE(r);
+            const PolicyNetwork::Eval got = mb.evals[r];
+            mb.dlogp[r] = inputs.normal(0.0, 1.0) / double(rows);
+            mb.dvalue[r] = r % 3 == 0 ? 0.0
+                                      : 0.5 * (got.value - inputs.normal()) /
+                                            double(rows);
+            // The seed math, one row at a time.
+            const Vector state(mb.states.begin() + r * kStateDim,
+                               mb.states.begin() + (r + 1) * kStateDim);
+            const std::vector<std::size_t> actions(
+                mb.actions.begin() + r * n_heads,
+                mb.actions.begin() + (r + 1) * n_heads);
+            const PolicyNetwork::Eval want = ref.evaluate(state, actions);
+            for (std::size_t h = 0; h < n_heads; ++h) {
+                const std::span<const double> z = net.logits(h, r);
+                EXPECT_TRUE(
+                    sameBits(Vector(z.begin(), z.end()), ref.logits(h)))
+                    << "head " << h;
+            }
+            EXPECT_TRUE(sameBits(got.value, want.value));
+            EXPECT_TRUE(sameBits(got.log_prob, want.log_prob));
+            EXPECT_TRUE(sameBits(got.entropy, want.entropy));
+            ref.backward(actions, mb.dlogp[r], dentropy, mb.dvalue[r]);
+        }
+        net.backward(rows, dentropy);
+        EXPECT_TRUE(sameBits(net.params().rawGrads(),
+                             ref.params().rawGrads()));
     }
     const Vector &grads = net.params().rawGrads();
-    EXPECT_TRUE(sameBits(grads, ref.params().rawGrads()));
     // The gradients reach every layer, the first included.
     EXPECT_NE(grads.front(), 0.0);
     EXPECT_NE(grads.back(), 0.0);
@@ -414,9 +447,10 @@ TEST(PolicyNetwork, BitIdenticalToSeedMathPaperShape)
 
 TEST(PolicyNetwork, BitIdenticalToSeedMathOddWidths)
 {
-    // Neither hidden width is a multiple of the eight output chains
-    // Linear::forward runs side by side; the 9-way head is one block of
-    // eight plus a remainder; four heads as with the SLO-tier head.
+    // Neither hidden width is a multiple of the four or eight outputs
+    // Linear::forward runs side by side, and 13 and 7 inputs leave a
+    // lone column in backward(); the 9-way head is one block of eight
+    // plus a remainder; four heads as with the SLO-tier head.
     expectBitIdenticalToSeed({13, 7}, ActionSpec{{9, 5, 3, 4}}, 22);
 }
 
@@ -463,15 +497,37 @@ TEST(PolicyNetwork, DeterministicActIsStable)
     EXPECT_EQ(a1.actions, a2.actions);
 }
 
+/** The network's minibatch, holding @p state and @p actions in row 0. */
+Minibatch &
+oneRow(PolicyNetwork &net, const Vector &state,
+       const std::vector<std::size_t> &actions)
+{
+    Minibatch &mb = net.minibatch(1);
+    std::copy(state.begin(), state.end(), mb.states.begin());
+    std::copy(actions.begin(), actions.end(), mb.actions.begin());
+    return mb;
+}
+
+/** evaluate() of one row. */
+PolicyNetwork::Eval
+evalRow(PolicyNetwork &net, const Vector &state,
+        const std::vector<std::size_t> &actions)
+{
+    Minibatch &mb = oneRow(net, state, actions);
+    net.evaluate(1);
+    return mb.evals[0];
+}
+
 TEST(PolicyNetwork, EvaluateMatchesActLogProb)
 {
     PolicyNetwork net(6, spec553(), {16}, 6);
     Rng rng(7);
     Vector s(6, 0.5);
     const auto res = net.act(s, rng);
-    const auto ev = net.evaluate(s, res.actions);
+    const auto ev = evalRow(net, s, res.actions);
     EXPECT_NEAR(ev.log_prob, res.log_prob, 1e-12);
     EXPECT_NEAR(ev.value, res.value, 1e-12);
+    EXPECT_DOUBLE_EQ(net.value(s), res.value);
     EXPECT_GT(ev.entropy, 0.0);
 }
 
@@ -479,7 +535,7 @@ TEST(PolicyNetwork, InitialPolicyIsNearUniform)
 {
     PolicyNetwork net(8, spec553(), {50, 50}, 8);
     Vector s(8, 0.3);
-    const auto ev = net.evaluate(s, {0, 0, 0});
+    const auto ev = evalRow(net, s, {0, 0, 0});
     // Max entropy = ln5 + ln5 + ln3.
     const double max_h = std::log(5.0) * 2 + std::log(3.0);
     EXPECT_GT(ev.entropy, 0.9 * max_h);
@@ -490,19 +546,22 @@ TEST(PolicyNetwork, BackwardImprovesChosenActionLikelihood)
     PolicyNetwork net(4, spec553(), {16}, 10);
     Vector s{0.1, -0.2, 0.3, -0.4};
     const std::vector<std::size_t> target{4, 2, 1};
-    const double before = net.evaluate(s, target).log_prob;
+    const double before = evalRow(net, s, target).log_prob;
     // Gradient ascent on logP: loss gradient dlogp = -1.
+    Minibatch &mb = oneRow(net, s, target);
+    mb.dlogp[0] = -1.0;
+    mb.dvalue[0] = 0.0;
     for (int i = 0; i < 50; ++i) {
         net.params().zeroGrads();
-        net.evaluate(s, target);
-        net.backward(target, -1.0, 0.0, 0.0);
+        net.evaluate(1);
+        net.backward(1, 0.0);
         // Plain SGD step.
         for (std::size_t k = 0; k < net.params().size(); ++k) {
             net.params().rawValues()[k] -=
                 0.05 * net.params().rawGrads()[k];
         }
     }
-    const double after = net.evaluate(s, target).log_prob;
+    const double after = evalRow(net, s, target).log_prob;
     EXPECT_GT(after, before + 0.5);
 }
 
@@ -511,16 +570,19 @@ TEST(PolicyNetwork, ValueGradientRegresses)
     PolicyNetwork net(4, spec553(), {16}, 12);
     Vector s{0.5, 0.5, -0.5, -0.5};
     const double target = 3.0;
+    Minibatch &mb = oneRow(net, s, {0, 0, 0});
+    mb.dlogp[0] = 0.0;
     for (int i = 0; i < 300; ++i) {
-        const auto ev = net.evaluate(s, {0, 0, 0});
+        net.evaluate(1);
+        mb.dvalue[0] = mb.evals[0].value - target;
         net.params().zeroGrads();
-        net.backward({0, 0, 0}, 0.0, 0.0, ev.value - target);
+        net.backward(1, 0.0);
         for (std::size_t k = 0; k < net.params().size(); ++k) {
             net.params().rawValues()[k] -=
                 0.01 * net.params().rawGrads()[k];
         }
     }
-    EXPECT_NEAR(net.evaluate(s, {0, 0, 0}).value, target, 0.3);
+    EXPECT_NEAR(net.value(s), target, 0.3);
 }
 
 TEST(PolicyNetwork, SaveLoadRoundTrip)
@@ -532,8 +594,8 @@ TEST(PolicyNetwork, SaveLoadRoundTrip)
     ASSERT_TRUE(a.save(path.string()));
     ASSERT_TRUE(b.load(path.string()));
     Vector s(6, 0.2);
-    EXPECT_NEAR(a.evaluate(s, {1, 1, 1}).log_prob,
-                b.evaluate(s, {1, 1, 1}).log_prob, 1e-12);
+    EXPECT_NEAR(evalRow(a, s, {1, 1, 1}).log_prob,
+                evalRow(b, s, {1, 1, 1}).log_prob, 1e-12);
     std::filesystem::remove(path);
 }
 
@@ -543,8 +605,7 @@ TEST(PolicyNetwork, CopyParamsFromMirrorsBehaviour)
     PolicyNetwork b(6, spec553(), {16}, 17);
     b.copyParamsFrom(a);
     Vector s(6, -0.7);
-    EXPECT_NEAR(a.evaluate(s, {2, 3, 1}).value,
-                b.evaluate(s, {2, 3, 1}).value, 1e-12);
+    EXPECT_NEAR(a.value(s), b.value(s), 1e-12);
 }
 
 }  // namespace
