@@ -6,6 +6,8 @@
 #include <fstream>
 #include <vector>
 
+#include "src/sim/fnv.h"
+
 namespace fleetio::rl {
 
 namespace {
@@ -13,18 +15,6 @@ namespace {
 /** 8-byte magic; the trailing digit is NOT the format version (that is
  *  a separate header field) — it just keeps the magic printable. */
 constexpr char kMagic[8] = {'F', 'I', 'O', 'C', 'K', 'P', 'T', '1'};
-
-/** FNV-1a 64-bit over a byte range. */
-std::uint64_t
-fnv1a(const unsigned char *data, std::size_t n,
-      std::uint64_t h = 0xcbf29ce484222325ull)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 void
 putU64(std::string &buf, std::uint64_t v)
@@ -200,9 +190,7 @@ writeCheckpoint(const std::string &path, const AgentCheckpoint &ckpt)
     putVector(body, ckpt.adam_m);
     putVector(body, ckpt.adam_v);
 
-    const std::uint64_t sum = fnv1a(
-        reinterpret_cast<const unsigned char *>(body.data()),
-        body.size());
+    const std::uint64_t sum = fnv1a(body.data(), body.size());
 
     const std::string tmp = path + ".tmp";
     if (failpointHit("tmp_open"))

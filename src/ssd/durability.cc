@@ -3,23 +3,11 @@
 #include <algorithm>
 #include <map>
 
+#include "src/sim/fnv.h"
+
 namespace fleetio {
 
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t n,
-      std::uint64_t h = kFnvOffset)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 void
 putU64(std::vector<std::uint8_t> &out, std::uint64_t v)

@@ -10,6 +10,7 @@
 
 #include "src/core/agent.h"
 #include "src/rl/checkpoint.h"
+#include "src/sim/fnv.h"
 #include "src/sim/rng.h"
 
 namespace fleetio::rl {
@@ -57,18 +58,6 @@ writeFile(const std::string &path, const std::vector<unsigned char> &b)
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char *>(b.data()),
               std::streamsize(b.size()));
-}
-
-/** Same FNV-1a the writer uses, for crafting valid-checksum files. */
-std::uint64_t
-fnv1a(const unsigned char *data, std::size_t n)
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= data[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
 }
 
 void

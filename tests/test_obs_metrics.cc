@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/phase_profiler.h"
 #include "src/policies/fleetio_policy.h"
+#include "src/sim/fnv.h"
 #include "src/virt/channel_allocator.h"
 
 namespace fleetio {
@@ -176,12 +177,7 @@ driveTwoTenants(Testbed &tb)
 std::uint64_t
 digest(const std::string &s)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (const unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ull;
-    }
-    return h;
+    return fnv1a(s.data(), s.size());
 }
 
 /** Every artifact a testbed with all four obs sinks writes, in the

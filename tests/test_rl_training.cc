@@ -13,28 +13,18 @@
 
 #include "src/core/agent.h"
 #include "src/policies/ssdkeeper.h"
+#include "src/sim/fnv.h"
 #include "src/sim/rng.h"
 
 namespace fleetio {
 namespace {
-
-std::uint64_t
-fnv1a(const void *data, std::size_t n, std::uint64_t h)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
 
 /** Digest of a store's values and gradients, plus extra words. */
 std::uint64_t
 digest(const rl::ParameterStore &ps,
        const std::vector<std::uint64_t> &extra = {})
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
+    std::uint64_t h = kFnv1aOffset;
     const rl::Vector &v = ps.rawValues();
     const rl::Vector &g = ps.rawGrads();
     h = fnv1a(v.data(), v.size() * sizeof(double), h);
