@@ -74,8 +74,6 @@ class PolicyNetwork
         double entropy = 0.0;  ///< summed over heads (watchdog signal)
     };
 
-    using Eval = rl::Eval;
-
     PolicyNetwork(std::size_t state_dim, const ActionSpec &spec,
                   const std::vector<std::size_t> &hidden,
                   std::uint64_t seed);

@@ -260,11 +260,11 @@ class Network
         return res;
     }
 
-    PolicyNetwork::Eval
+    Eval
     evaluate(const Vector &state, const std::vector<std::size_t> &actions)
     {
         forwardTrunk(state);
-        PolicyNetwork::Eval ev;
+        Eval ev;
         ev.value = value_cache_;
         for (std::size_t i = 0; i < heads_.size(); ++i) {
             Categorical dist(head_logits_[i]);
@@ -407,7 +407,7 @@ expectBitIdenticalToSeed(const std::vector<std::size_t> &hidden,
         const double dentropy = rows == 6 ? 0.0 : -0.01 / double(rows);
         for (std::size_t r = 0; r < rows; ++r) {
             SCOPED_TRACE(r);
-            const PolicyNetwork::Eval got = mb.evals[r];
+            const Eval got = mb.evals[r];
             mb.dlogp[r] = inputs.normal(0.0, 1.0) / double(rows);
             mb.dvalue[r] = r % 3 == 0 ? 0.0
                                       : 0.5 * (got.value - inputs.normal()) /
@@ -418,7 +418,7 @@ expectBitIdenticalToSeed(const std::vector<std::size_t> &hidden,
             const std::vector<std::size_t> actions(
                 mb.actions.begin() + r * n_heads,
                 mb.actions.begin() + (r + 1) * n_heads);
-            const PolicyNetwork::Eval want = ref.evaluate(state, actions);
+            const Eval want = ref.evaluate(state, actions);
             for (std::size_t h = 0; h < n_heads; ++h) {
                 const std::span<const double> z = net.logits(h, r);
                 EXPECT_TRUE(
@@ -509,7 +509,7 @@ oneRow(PolicyNetwork &net, const Vector &state,
 }
 
 /** evaluate() of one row. */
-PolicyNetwork::Eval
+Eval
 evalRow(PolicyNetwork &net, const Vector &state,
         const std::vector<std::size_t> &actions)
 {
