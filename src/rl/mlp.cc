@@ -129,15 +129,15 @@ accumulateTile(const double *s, std::size_t st, std::size_t sa,
             acc[a][k] = from_zero ? splat<T>(0.0)
                                   : load<T>(c + a * ca + k * L);
     for (std::size_t t = 0; t < n; ++t) {
-        T vt_k[K];
+        T vrow[K];
         for (std::size_t k = 0; k < K; ++k)
-            vt_k[k] = load<T>(v + t * vt + k * L);
+            vrow[k] = load<T>(v + t * vt + k * L);
 #pragma GCC unroll 8
         for (std::size_t a = 0; a < A; ++a) {
             const double g = s[t * st + a * sa];
 #pragma GCC unroll 8
             for (std::size_t k = 0; k < K; ++k)
-                acc[a][k] += g * vt_k[k];
+                acc[a][k] += g * vrow[k];
         }
     }
     for (std::size_t a = 0; a < A; ++a)

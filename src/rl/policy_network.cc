@@ -81,16 +81,15 @@ PolicyNetwork::forward(std::span<const double> states, std::size_t rows)
 {
     assert(states.size() >= rows * state_dim_);
     reserveRows(rows);
-    const std::span<const double> trunk_out =
-        trunk_.forward(states.first(rows * state_dim_), acts_);
+    trunk_out_ = trunk_.forward(states.first(rows * state_dim_), acts_);
     for (std::size_t h = 0; h < heads_.size(); ++h) {
         const std::size_t k = heads_[h].outSize();
         const std::span<double> z(logits_[h].data(), rows * k);
-        heads_[h].forward(trunk_out, z);
+        heads_[h].forward(trunk_out_, z);
         for (std::size_t r = 0; r < rows; ++r)
             dists_[h * rows_cap_ + r].setLogits(z.subspan(r * k, k));
     }
-    value_head_.forward(trunk_out, std::span(values_.data(), rows));
+    value_head_.forward(trunk_out_, std::span(values_.data(), rows));
 }
 
 PolicyNetwork::ActResult
@@ -142,8 +141,7 @@ PolicyNetwork::backward(std::size_t rows, double dentropy)
 {
     const std::size_t w = trunk_.outSize();
     const std::size_t n_heads = heads_.size();
-    const std::span<const double> trunk_out(
-        acts_.data() + rows * (trunk_.actsPerRow() - w), rows * w);
+    assert(trunk_out_.size() == rows * w);
     const std::span<double> d_trunk(d_trunk_.data(), rows * w);
     const std::span<double> dx(dx_.data(), rows * w);
     std::fill(d_trunk.begin(), d_trunk.end(), 0.0);
@@ -160,7 +158,7 @@ PolicyNetwork::backward(std::size_t rows, double dentropy)
             if (dentropy != 0.0)
                 d.addEntropyGradLogits(dentropy, g);
         }
-        heads_[h].backward(dlogits, trunk_out, dx);
+        heads_[h].backward(dlogits, trunk_out_, dx);
         for (std::size_t j = 0; j < d_trunk.size(); ++j)
             d_trunk[j] += dx[j];
     }
@@ -171,7 +169,7 @@ PolicyNetwork::backward(std::size_t rows, double dentropy)
     for (std::size_t r = 0; r < rows; ++r) {
         if (mb_.dvalue[r] == 0.0)
             continue;
-        std::copy_n(trunk_out.begin() + r * w, w,
+        std::copy_n(trunk_out_.begin() + r * w, w,
                     value_x_.begin() + n * w);
         value_dy_[n] = mb_.dvalue[r];
         value_rows_[n++] = r;

@@ -149,11 +149,12 @@ class PolicyNetwork
 
     Minibatch mb_;
     // Row workspaces for rows_cap_ rows, laid out row after row. Forward
-    // caches: the trunk's activations, each head's logits and
-    // distributions (head-major: head h, row r at h * rows_cap_ + r),
-    // the values.
+    // caches: the trunk's activations (trunk_out_ views the output
+    // layer's), each head's logits and distributions (head-major: head
+    // h, row r at h * rows_cap_ + r), the values.
     std::size_t rows_cap_ = 0;
     Vector acts_;
+    std::span<const double> trunk_out_;
     std::vector<Vector> logits_;
     std::vector<Categorical> dists_;
     Vector values_;
