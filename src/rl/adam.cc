@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "src/rl/lanes.h"
+
 namespace fleetio::rl {
 
 Adam::Adam(ParameterStore &store) : Adam(store, Config{}) {}
@@ -51,13 +53,24 @@ Adam::step()
     ++t_;
     const double bc1 = 1.0 - std::pow(cfg_.beta1, double(t_));
     const double bc2 = 1.0 - std::pow(cfg_.beta2, double(t_));
-    for (std::size_t i = 0; i < p.size(); ++i) {
-        m_[i] = cfg_.beta1 * m_[i] + (1.0 - cfg_.beta1) * g[i];
-        v_[i] = cfg_.beta2 * v_[i] + (1.0 - cfg_.beta2) * g[i] * g[i];
-        const double m_hat = m_[i] / bc1;
-        const double v_hat = v_[i] / bc2;
-        p[i] -= cfg_.lr * m_hat / (std::sqrt(v_hat) + cfg_.eps);
-    }
+    // Parameters are independent, so two run side by side in lanes.
+    auto update = [&]<typename T>(std::size_t i) {
+        const T gi = load<T>(&g[i]);
+        const T mi = cfg_.beta1 * load<T>(&m_[i]) + (1.0 - cfg_.beta1) * gi;
+        const T vi =
+            cfg_.beta2 * load<T>(&v_[i]) + (1.0 - cfg_.beta2) * gi * gi;
+        const T m_hat = mi / bc1;
+        const T v_hat = vi / bc2;
+        store<T>(&m_[i], mi);
+        store<T>(&v_[i], vi);
+        store<T>(&p[i], load<T>(&p[i]) - cfg_.lr * m_hat /
+                                            (sqrtLanes(v_hat) + cfg_.eps));
+    };
+    std::size_t i = 0;
+    for (; i + 2 <= p.size(); i += 2)
+        update.template operator()<V2>(i);
+    if (i < p.size())
+        update.template operator()<double>(i);
 }
 
 }  // namespace fleetio::rl

@@ -3,50 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
+
+#include "src/rl/lanes.h"
 
 namespace fleetio::rl {
 
 namespace {
-
-/**
- * Two doubles in one SSE2 register on x86-64 (a GCC vector extension;
- * other targets split it into scalars). Its arithmetic is element-wise,
- * so each lane rounds exactly as the scalar operation would.
- */
-using V2 = double __attribute__((vector_size(16)));
-
-/** Lanes of T: 2 for V2, 1 for double. */
-template <typename T>
-constexpr std::size_t kLanes = sizeof(T) / sizeof(double);
-
-template <typename T>
-T
-load(const double *p)
-{
-    T v;
-    std::memcpy(&v, p, sizeof v);
-    return v;
-}
-
-template <typename T>
-void
-store(double *p, T v)
-{
-    std::memcpy(p, &v, sizeof v);
-}
-
-/** @p v in every lane (a copy, not `T{} + v`, which turns -0.0 into
- *  +0.0). */
-template <typename T>
-T
-splat(double v)
-{
-    if constexpr (kLanes<T> == 1)
-        return v;
-    else
-        return T{v, v};
-}
 
 /**
  * Forward of O outputs of kLanes<T> * P rows: y[r][o] = b[o] +
