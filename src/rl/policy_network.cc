@@ -33,8 +33,6 @@ PolicyNetwork::PolicyNetwork(std::size_t state_dim, const ActionSpec &spec,
       logits_(spec.head_sizes.size())
 {
     assert(!spec.head_sizes.empty());
-    mb_.state_dim = state_dim;
-    mb_.heads = heads_.size();
 }
 
 Minibatch &

@@ -44,9 +44,8 @@ struct Eval
  */
 struct Minibatch
 {
-    std::size_t state_dim = 0, heads = 0;
-    Vector states;                     ///< row r at r * state_dim
-    std::vector<std::size_t> actions;  ///< row r at r * heads
+    Vector states;                     ///< row r at r * stateDim()
+    std::vector<std::size_t> actions;  ///< row r at r * numHeads()
     std::vector<Eval> evals;
     Vector dlogp, dvalue;
 };

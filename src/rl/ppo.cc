@@ -51,14 +51,15 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
             net_.params().zeroGrads();
 
             Minibatch &mb = net_.minibatch(rows);
+            const std::size_t dim = net_.stateDim();
+            const std::size_t heads = net_.numHeads();
             for (std::size_t k = 0; k < rows; ++k) {
                 const Transition &t = rollout[order[start + k]];
-                assert(t.state.size() == mb.state_dim);
-                assert(t.actions.size() == mb.heads);
+                assert(t.state.size() == dim && t.actions.size() == heads);
                 std::copy(t.state.begin(), t.state.end(),
-                          mb.states.begin() + k * mb.state_dim);
+                          mb.states.begin() + k * dim);
                 std::copy(t.actions.begin(), t.actions.end(),
-                          mb.actions.begin() + k * mb.heads);
+                          mb.actions.begin() + k * heads);
             }
             net_.evaluate(rows);
 
