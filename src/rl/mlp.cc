@@ -158,7 +158,7 @@ Linear::forward(std::span<const double> x, std::span<double> y) const
     const double *w = store_->values(w_off_);
     const double *b = store_->values(b_off_);
     // Four rows at a time, two per register, four outputs per block;
-    // a lone row runs eight outputs side by side instead.
+    // the one to three rows left run alone, eight outputs side by side.
     std::size_t r = 0;
     for (; r + 4 <= rows; r += 4)
         forwardRows<V2, 4, 2>(w, b, in_, out_, x.data() + r * in_,
@@ -209,15 +209,6 @@ Mlp::Mlp(ParameterStore &store, std::size_t in,
     out_ = prev;
 }
 
-void
-Mlp::reserveRows(std::size_t rows)
-{
-    if (dz_.size() < rows * widest_) {
-        dz_.resize(rows * widest_);
-        grad_.resize(rows * widest_);
-    }
-}
-
 std::span<const double>
 Mlp::forward(std::span<const double> x, std::span<double> acts) const
 {
@@ -242,7 +233,10 @@ Mlp::backward(std::span<const double> x, std::span<const double> acts,
 {
     const std::size_t rows = x.size() / in_;
     assert(dout.size() == rows * out_);
-    reserveRows(rows);
+    if (dz_.size() < rows * widest_) {
+        dz_.resize(rows * widest_);
+        grad_.resize(rows * widest_);
+    }
     // Start of each layer's activations in acts, from the top down.
     std::size_t end = rows * acts_per_row_;
     std::span<const double> grad = dout;

@@ -100,14 +100,11 @@ class Mlp
     void backward(std::span<const double> x, std::span<const double> acts,
                   std::span<const double> dout);
 
-    /** Size the backward workspaces for blocks of up to @p rows rows. */
-    void reserveRows(std::size_t rows);
-
   private:
     std::size_t in_, out_, widest_ = 0, acts_per_row_ = 0;
     std::vector<Linear> layers_;
-    // Backward workspaces, rows * widest_ each: dL/dz of the layer
-    // backward() is at, and dL/dy of the layer below it.
+    // Backward workspaces, grown to the largest block's rows * widest_:
+    // dL/dz of the layer backward() is at, and dL/dy of the layer below.
     Vector dz_, grad_;
 };
 

@@ -71,7 +71,6 @@ PolicyNetwork::reserveRows(std::size_t rows)
     value_x_.resize(rows * w);
     value_dy_.resize(rows);
     value_rows_.resize(rows);
-    trunk_.reserveRows(rows);
 }
 
 void

@@ -58,9 +58,8 @@ struct Minibatch
  * minibatch: one evaluate() forwards all its rows, and the backward()
  * right after it consumes that pass's cached activations and head
  * distributions. The minibatch and the row workspaces grow to the
- * largest block asked for and are then reused, so evaluate() and
- * backward() allocate nothing after the first block of a size, and
- * act() only its result's actions.
+ * largest block asked for and are then reused, so only a block larger
+ * than any before allocates, and act() only its result's actions.
  */
 class PolicyNetwork
 {
