@@ -65,13 +65,14 @@ FleetIoAgent::imitate(const rl::Vector &state,
     const std::size_t width = dim + heads + 1;
     assert(state.size() == dim && actions.size() == heads);
     std::size_t stored = bc_rows_.size() / width;
-    double *row;
+    std::size_t slot = stored;
     if (stored < kBcCapacity) {
         bc_rows_.resize(bc_rows_.size() + width);
-        row = bc_rows_.data() + stored++ * width;
+        ++stored;
     } else {
-        row = bc_rows_.data() + (bc_write_++ % kBcCapacity) * width;
+        slot = bc_write_++ % kBcCapacity;
     }
+    double *row = bc_rows_.data() + slot * width;
     std::copy(state.begin(), state.end(), row);
     std::copy(actions.begin(), actions.end(), row + dim);
     row[dim + heads] = value_target;
