@@ -116,26 +116,6 @@ verdict(bool cond, const std::string &what)
     return cond;
 }
 
-bool
-sameResult(const ExperimentResult &x, const ExperimentResult &y)
-{
-    if (x.sim_events != y.sim_events || x.avg_util != y.avg_util ||
-        x.p95_util != y.p95_util || x.write_amp != y.write_amp ||
-        x.tenants.size() != y.tenants.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < x.tenants.size(); ++i) {
-        if (x.tenants[i].avg_bw_mbps != y.tenants[i].avg_bw_mbps ||
-            x.tenants[i].p50 != y.tenants[i].p50 ||
-            x.tenants[i].p99 != y.tenants[i].p99 ||
-            x.tenants[i].requests != y.tenants[i].requests ||
-            x.tenants[i].slo_violation != y.tenants[i].slo_violation) {
-            return false;
-        }
-    }
-    return true;
-}
-
 }  // namespace
 
 int
@@ -196,8 +176,9 @@ main(int argc, char **argv)
     std::cout << '\n';
 
     bool ok = true;
-    ok &= verdict(sameResult(res_off, res_on),
-                  "obs on/off FleetIO results are identical");
+    const bool parity =
+        check::outcomeDigest(res_off) == check::outcomeDigest(res_on);
+    ok &= verdict(parity, "obs on/off FleetIO results are identical");
     ok &= verdict(res_on.sim_events > 0 && on.trace_calls > 0,
                   "traced run actually recorded events");
     ok &= verdict(disabled_pct < 2.0,
@@ -214,7 +195,7 @@ main(int argc, char **argv)
     report.setMetric("trace_calls_per_event", calls_per_event);
     report.setMetric("disabled_overhead_pct", disabled_pct);
     report.setMetric("enabled_overhead_pct", enabled_pct);
-    report.setMetric("parity", sameResult(res_off, res_on) ? 1 : 0);
+    report.setMetric("parity", parity ? 1 : 0);
     const int regress = report.finish(argc, argv, std::cout);
 
     return ok ? regress : 1;

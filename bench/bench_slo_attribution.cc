@@ -43,26 +43,6 @@ verdict(bool cond, const std::string &what)
     return cond;
 }
 
-bool
-sameResult(const ExperimentResult &x, const ExperimentResult &y)
-{
-    if (x.sim_events != y.sim_events || x.avg_util != y.avg_util ||
-        x.p95_util != y.p95_util || x.write_amp != y.write_amp ||
-        x.tenants.size() != y.tenants.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < x.tenants.size(); ++i) {
-        if (x.tenants[i].avg_bw_mbps != y.tenants[i].avg_bw_mbps ||
-            x.tenants[i].p50 != y.tenants[i].p50 ||
-            x.tenants[i].p99 != y.tenants[i].p99 ||
-            x.tenants[i].requests != y.tenants[i].requests ||
-            x.tenants[i].slo_violation != y.tenants[i].slo_violation) {
-            return false;
-        }
-    }
-    return true;
-}
-
 /** Outcome of the synthetic known-culprit cell. */
 struct CulpritDrive
 {
@@ -283,8 +263,9 @@ main(int argc, char **argv)
                   "every neighbor-interference verdict names the writer");
     ok &= verdict(dd.scored > 0 && dd.flagged_after > dd.flagged_before,
                   "drift monitor flags the mid-run workload swap");
-    ok &= verdict(sameResult(res_off, res_on),
-                  "attribution+drift on/off results are identical");
+    const bool parity =
+        check::outcomeDigest(res_off) == check::outcomeDigest(res_on);
+    ok &= verdict(parity, "attribution+drift on/off results are identical");
     ok &= verdict(res_on.attr_requests > 0 &&
                       res_on.attr_sum_mismatches == 0,
                   "attributed FleetIO run stays exact end to end");
@@ -301,7 +282,7 @@ main(int argc, char **argv)
                     {"max_psi", dd.max_psi}},
                    dd.sim_events);
     report.addCell("fleetio/attr-on", res_on);
-    report.setMetric("parity", sameResult(res_off, res_on) ? 1 : 0);
+    report.setMetric("parity", parity ? 1 : 0);
     report.setMetric("sum_mismatches", double(cd.mismatches));
     const int regress = report.finish(argc, argv, std::cout);
 

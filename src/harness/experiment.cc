@@ -1,11 +1,13 @@
 #include "src/harness/experiment.h"
 
 #include <atomic>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <tuple>
 
+#include "src/sim/fnv.h"
 #include "src/virt/channel_allocator.h"
 
 namespace fleetio {
@@ -245,6 +247,45 @@ runExperiment(const ExperimentSpec &spec)
     prof.end(tb.eq().dispatched());
     res.phases = prof.phases();
     return res;
+}
+
+std::uint64_t
+check::outcomeDigest(const ExperimentResult &res)
+{
+    std::uint64_t h = kFnv1aOffset;
+    const auto add = [&h](const auto &v) { h = fnv1a(&v, sizeof v, h); };
+    const auto addAll = [&add](std::initializer_list<std::uint64_t> vs) {
+        for (std::uint64_t v : vs)
+            add(v);
+    };
+    add(res.tenants.size());
+    for (const TenantResult &t : res.tenants) {
+        add(t.workload.size());
+        h = fnv1a(t.workload.data(), t.workload.size(), h);
+        add(t.bandwidth_intensive);
+        add(t.avg_bw_mbps);
+        add(t.iops);
+        addAll({t.p50, t.p95, t.p99, t.p999});
+        add(t.slo_violation);
+        addAll({t.requests, t.slo});
+    }
+    add(res.avg_util);
+    add(res.p95_util);
+    add(res.write_amp);
+    add(res.measured);
+    const FaultCounters &f = res.faults;
+    addAll({f.read_retries, f.reads_retried, f.program_failures,
+            f.erase_failures, f.slowdown_windows, res.blocks_retired,
+            res.program_fail_repairs, res.gsb_revokes});
+    const ChurnStats &c = res.churn;
+    addAll({c.arrivals, c.admitted, c.retries, c.rejected,
+            c.removals_requested, c.removals_completed, c.tier_stepdowns,
+            c.tier_recoveries});
+    add(c.max_attempts_observed);
+    addAll({res.agent_trips, res.agent_restores, res.agent_reinits,
+            res.agent_fallback_windows, res.agent_lease_releases,
+            res.agent_grad_skips, res.agent_checkpoints, res.sim_events});
+    return h;
 }
 
 }  // namespace fleetio

@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -124,5 +125,25 @@ ExperimentResult runExperiment(const ExperimentSpec &spec);
  */
 SimTime calibratedSlo(WorkloadKind kind, std::size_t num_tenants,
                       const TestbedOptions &opts);
+
+namespace check {
+
+/**
+ * FNV-1a-64 over every simulated outcome of @p res, field by field
+ * (struct padding is indeterminate): each tenant's fields, the
+ * utilization and write amplification, `measured`, the fault, repair
+ * and revoke counters, churn, the agent_* counters and sim_events.
+ * Left out: the policy name, the wall-clock phases, and the obs-sink
+ * counters (attr_*, slo_verdicts, verdict_*, drift_*), which differ by
+ * design between runs with sinks on and off. Equal digests are the
+ * bit-identity check of tests and benches.
+ *
+ * In namespace check because simbench keeps its own
+ * outcomeDigest(const ExperimentResult &) until it adopts this one; a
+ * second such function in fleetio would make its calls ambiguous.
+ */
+std::uint64_t outcomeDigest(const ExperimentResult &res);
+
+}  // namespace check
 
 }  // namespace fleetio

@@ -354,24 +354,6 @@ obsSpec(PolicyKind policy)
     return spec;
 }
 
-bool
-sameResult(const ExperimentResult &x, const ExperimentResult &y)
-{
-    if (x.sim_events != y.sim_events || x.avg_util != y.avg_util ||
-        x.write_amp != y.write_amp ||
-        x.tenants.size() != y.tenants.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < x.tenants.size(); ++i) {
-        if (x.tenants[i].avg_bw_mbps != y.tenants[i].avg_bw_mbps ||
-            x.tenants[i].p99 != y.tenants[i].p99 ||
-            x.tenants[i].requests != y.tenants[i].requests) {
-            return false;
-        }
-    }
-    return true;
-}
-
 TEST(MetricsPipeline, ObsOnParallelHarnessStaysBitIdentical)
 {
     // Tracing/metrics must not perturb results, and per-thread rings
@@ -386,13 +368,17 @@ TEST(MetricsPipeline, ObsOnParallelHarnessStaysBitIdentical)
     const auto parallel = runExperiments(specs, 2);
 
     ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        EXPECT_TRUE(sameResult(serial[i], parallel[i])) << "cell " << i;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(check::outcomeDigest(serial[i]),
+                  check::outcomeDigest(parallel[i]))
+            << "cell " << i;
+    }
 
     // And obs-off results match obs-on results (null-guard parity).
     ExperimentSpec off = obsSpec(PolicyKind::kHardwareIsolation);
     off.opts.obs = {};
-    EXPECT_TRUE(sameResult(runExperiment(off), serial[0]));
+    EXPECT_EQ(check::outcomeDigest(runExperiment(off)),
+              check::outcomeDigest(serial[0]));
 }
 
 TEST(PhaseProfiler, AttributesWallTimeAndSimEvents)

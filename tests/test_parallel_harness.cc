@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "src/harness/parallel.h"
+#include "src/virt/channel_allocator.h"
 
 namespace fleetio {
 namespace {
@@ -142,67 +143,93 @@ tinySpec(WorkloadKind a, WorkloadKind b, PolicyKind policy)
     return spec;
 }
 
-bool
-identical(const ExperimentResult &x, const ExperimentResult &y)
-{
-    if (x.policy != y.policy || x.sim_events != y.sim_events ||
-        x.avg_util != y.avg_util || x.p95_util != y.p95_util ||
-        x.write_amp != y.write_amp ||
-        x.tenants.size() != y.tenants.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < x.tenants.size(); ++i) {
-        const TenantResult &a = x.tenants[i];
-        const TenantResult &b = y.tenants[i];
-        if (a.workload != b.workload ||
-            a.avg_bw_mbps != b.avg_bw_mbps || a.iops != b.iops ||
-            a.p50 != b.p50 || a.p95 != b.p95 || a.p99 != b.p99 ||
-            a.p999 != b.p999 || a.requests != b.requests ||
-            a.slo != b.slo) {
-            return false;
-        }
-    }
-    return true;
-}
-
 TEST(RunExperiments, ParallelIsBitIdenticalToSerialLoop)
 {
     // A cell's result must not depend on the grid it runs in, because
     // bench_paper runs each distinct cell once and reuses it across
     // figures. So the parallel side runs the cells in reverse order.
+    // Each serial digest must also equal the one committed here; a
+    // changed digest is a reviewed edit, with the reason in CHANGES.md.
     std::vector<ExperimentSpec> specs;
-    specs.push_back(tinySpec(WorkloadKind::kVdiWeb,
-                             WorkloadKind::kTeraSort,
-                             PolicyKind::kHardwareIsolation));
-    specs.push_back(tinySpec(WorkloadKind::kVdiWeb,
-                             WorkloadKind::kTeraSort,
-                             PolicyKind::kSoftwareIsolation));
-    specs.push_back(tinySpec(WorkloadKind::kYcsbB,
-                             WorkloadKind::kMlPrep,
-                             PolicyKind::kHardwareIsolation));
-    specs.push_back(tinySpec(WorkloadKind::kYcsbB,
-                             WorkloadKind::kMlPrep,
-                             PolicyKind::kSoftwareIsolation));
+    std::vector<std::uint64_t> golden;
+    const auto cell = [&](ExperimentSpec spec, std::uint64_t digest) {
+        specs.push_back(std::move(spec));
+        golden.push_back(digest);
+    };
+    using K = WorkloadKind;
+    cell(tinySpec(K::kVdiWeb, K::kTeraSort, PolicyKind::kHardwareIsolation),
+         0x3f23a0440a39ceccull);
+    cell(tinySpec(K::kVdiWeb, K::kTeraSort, PolicyKind::kSoftwareIsolation),
+         0x4fbd7d701e355840ull);
+    cell(tinySpec(K::kYcsbB, K::kMlPrep, PolicyKind::kHardwareIsolation),
+         0xa5a3f5bf3768c757ull);
+    cell(tinySpec(K::kYcsbB, K::kMlPrep, PolicyKind::kSoftwareIsolation),
+         0x0d77f162415bc3fcull);
     // Every SSDKeeper cell shares one static demand net.
-    specs.push_back(tinySpec(WorkloadKind::kVdiWeb,
-                             WorkloadKind::kTeraSort,
-                             PolicyKind::kSsdKeeper));
+    cell(tinySpec(K::kVdiWeb, K::kTeraSort, PolicyKind::kSsdKeeper),
+         0x027da11e7f0275e7ull);
     // FleetIO on the default geometry: on testGeometry() its TeraSort
     // tenant completes no request.
     ExperimentSpec fleet;
-    fleet.workloads = {WorkloadKind::kVdiWeb, WorkloadKind::kTeraSort};
+    fleet.workloads = {K::kVdiWeb, K::kTeraSort};
     fleet.policy = PolicyKind::kFleetIo;
     fleet.opts.window = msec(100);
     fleet.warm_run = sec(1);
     fleet.measure = sec(1);
-    specs.push_back(fleet);
+    cell(fleet, 0x8ffb396ee8019159ull);
+
+    // NAND faults at bench_chaos's medium rates.
+    ExperimentSpec faults =
+        tinySpec(K::kVdiWeb, K::kTeraSort, PolicyKind::kHardwareIsolation);
+    faults.opts.faults = {.read_retry_prob = 1e-2,
+                          .program_fail_prob = 1e-3,
+                          .erase_fail_prob = 1e-2,
+                          .wear_error_growth = 1e-5,
+                          .chip_slowdown_prob = 1e-3};
+    cell(faults, 0x76b494053d2109efull);
+    // Churn inside the measured region: a departure, then an arrival
+    // admitted once the departure's channels are scrubbed.
+    ExperimentSpec churn =
+        tinySpec(K::kVdiWeb, K::kTeraSort, PolicyKind::kHardwareIsolation);
+    churn.measure = sec(1);
+    ChurnEvent leave;
+    leave.kind = ChurnEvent::Kind::kRemove;
+    leave.remove_id = 1;
+    ChurnEvent join;
+    join.at = msec(10);
+    join.workload = K::kYcsbB;
+    join.channels = 2;
+    join.quota_blocks =
+        ChannelAllocator::quotaForChannels(churn.opts.geo, 2);
+    join.declared_mbps = churn.opts.geo.channelBandwidthMBps() * 2;
+    churn.opts.churn.schedule = {leave, join};
+    ElasticTenancyConfig &el = churn.opts.churn.elastic;
+    el.pressure_interval = churn.opts.window;
+    el.admission.backoff_base = msec(100);
+    el.admission.backoff_cap = msec(200);
+    cell(churn, 0x14067cba1b8f7d48ull);
+    // Power loss half-way through the measured region.
+    ExperimentSpec crash =
+        tinySpec(K::kVdiWeb, K::kTeraSort, PolicyKind::kHardwareIsolation);
+    crash.opts.crash.plan.trigger = CrashPlan::Trigger::kSimTime;
+    crash.opts.crash.plan.at = crash.warm_run + crash.measure / 2;
+    cell(crash, 0xe77c57611e1d4810ull);
 
     std::vector<ExperimentResult> serial;
     serial.reserve(specs.size());
     for (const auto &s : specs)
         serial.push_back(runExperiment(s));
-    for (const TenantResult &t : serial.back().tenants)
+    for (const TenantResult &t : serial[5].tenants)
         EXPECT_GT(t.requests, 0u) << t.workload;
+    EXPECT_GT(serial[6].faults.read_retries, 0u);
+    EXPECT_EQ(serial[7].churn.removals_completed, 1u);
+    EXPECT_EQ(serial[7].churn.admitted, 1u);
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const std::uint64_t got = check::outcomeDigest(serial[i]);
+        EXPECT_EQ(got, golden[i])
+            << "cell " << i << std::hex << ": got 0x" << got
+            << ", committed 0x" << golden[i];
+    }
 
     const std::vector<ExperimentSpec> reversed(specs.rbegin(),
                                                specs.rend());
@@ -210,7 +237,8 @@ TEST(RunExperiments, ParallelIsBitIdenticalToSerialLoop)
 
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_TRUE(identical(serial[i], parallel[specs.size() - 1 - i]))
+        EXPECT_EQ(check::outcomeDigest(parallel[specs.size() - 1 - i]),
+                  check::outcomeDigest(serial[i]))
             << "cell " << i;
     }
 }
