@@ -74,23 +74,13 @@ struct Cell
     Inject inject = Inject::kNone;
 };
 
-/** What any section reads from one run. */
+/** What any section reads from one run: its result, and what the
+ *  step hook read off the testbed and the controller. */
 struct Outcome
 {
-    double util = 0;
-    double write_amp = 1.0;
-    double agg_bw = 0;
-    double slo_vio = 0;  ///< mean over active tenants
-    double ls_p99 = 0;   ///< mean over latency-sensitive tenants
+    ExperimentResult res;
     /// Per active tenant, in VssdManager::active() order.
-    std::vector<double> bw;
-    std::vector<double> vio;
     std::vector<std::uint64_t> bytes;
-    FaultCounters faults{};
-    std::uint64_t retired = 0;
-    std::uint64_t repairs = 0;
-    std::uint64_t revokes = 0;
-    ChurnStats churn{};
     int max_retries_allowed = 0;
     int end_level = 0;
     std::size_t end_queued = 0;
@@ -99,48 +89,51 @@ struct Outcome
     std::uint32_t held_before = 0;  ///< staged lease, pre-injection
     std::uint32_t held_after = 0;   ///< one window post-injection
     bool victim_healthy = true;
-    std::uint64_t dispatched = 0;
     std::string audit;  ///< first invariant violation; "" = none
     bool no_wedged_vssd = true;
     bool removed_quiesced = true;
 };
 
-/** Every field of @p o, so sameOutcome misses none. */
+/** Every field of @p o besides its result, so sameOutcome misses
+ *  none. */
 auto
 fields(const Outcome &o)
 {
-    const FaultCounters &f = o.faults;
-    const ChurnStats &c = o.churn;
     const RecoveryReport &r = o.report;
     const SupervisionStats &s = o.stats;
     return std::tie(
-        o.util, o.write_amp, o.agg_bw, o.slo_vio, o.ls_p99, o.bw, o.vio,
-        o.bytes, f.read_retries, f.reads_retried, f.program_failures,
-        f.erase_failures, f.slowdown_windows, o.retired, o.repairs,
-        o.revokes, c.arrivals, c.admitted, c.retries, c.rejected,
-        c.removals_requested, c.removals_completed, c.tier_stepdowns,
-        c.tier_recoveries, c.max_attempts_observed,
-        o.max_retries_allowed, o.end_level, o.end_queued, r.recovered,
-        r.crash_time, r.rpo_ns, r.rto_ns, r.scanned_pages,
+        o.bytes, o.max_retries_allowed, o.end_level, o.end_queued,
+        r.recovered, r.crash_time, r.rpo_ns, r.rto_ns, r.scanned_pages,
         r.replayed_records, r.torn_records, r.restored_mappings,
         r.checkpoint_fallback, r.checkpoint_lost, r.leases_reconciled,
         r.agents_restored, r.agents_probation, r.map_matches_shadow,
         r.hbt_matches_shadow, r.acked_lost, s.trips, s.restores,
         s.reinits, s.fallback_windows, s.lease_releases, s.snapshots,
         s.grad_skips, s.disk_checkpoints, s.drift_flags, o.held_before,
-        o.held_after, o.victim_healthy, o.dispatched, o.audit,
-        o.no_wedged_vssd, o.removed_quiesced);
+        o.held_after, o.victim_healthy, o.audit, o.no_wedged_vssd,
+        o.removed_quiesced);
 }
 
 bool
 sameOutcome(const Outcome &a, const Outcome &b)
 {
-    return fields(a) == fields(b);
+    return check::outcomeDigest(a.res) == check::outcomeDigest(b.res) &&
+           fields(a) == fields(b);
+}
+
+/** Mean SLO violation over the tenants of @p res. */
+double
+meanSloViolation(const ExperimentResult &res)
+{
+    double s = 0.0;
+    for (const TenantResult &t : res.tenants)
+        s += t.slo_violation;
+    return res.tenants.empty() ? 0.0 : s / double(res.tenants.size());
 }
 
 /** The injection of an agent cell, a quarter into the measured
- *  region. @return the sim time it ran. */
-SimTime
+ *  region. */
+void
 inject(Inject what, Testbed &tb, FleetIoController &ctl, Outcome &out)
 {
     const SimTime window = tb.options().window;
@@ -159,14 +152,51 @@ inject(Inject what, Testbed &tb, FleetIoController &ctl, Outcome &out)
         // watchdog must trip and release the lease within it.
         tb.run(window + window / 10);
         out.held_after = tb.gsb().heldChannels(kVictim);
-        return window + window / 10;
+        return;
     }
     ctl.setRewardHook([](VssdId id, double r) {
         return id == kVictim ? 1e9 : r;
     });
     tb.run(3 * window);
     ctl.setRewardHook(nullptr);
-    return 3 * window;
+}
+
+/** The outcome fields a result does not carry, read once the measure
+ *  has ended. */
+void
+collect(Testbed &tb, FleetIoController &ctl, Outcome &out)
+{
+    out.report = tb.recoveryReport();
+    out.stats = ctl.supervisionStats();
+    if (const AgentSupervisor *sup = ctl.supervisor()) {
+        out.victim_healthy = sup->state(kVictim) ==
+                             AgentSupervisor::AgentState::kHealthy;
+    }
+    for (auto *v : tb.vssds().active()) {
+        out.bytes.push_back(v->bandwidth().totalBytes());
+        if (out.audit.empty())
+            out.audit = check::auditMappings(tb.device(), v->ftl());
+        // A wedged vSSD: zero free quota with GC unable to help. The
+        // degradation machinery (retire + re-trigger + revoke) must
+        // keep every tenant above the floor.
+        if (v->ftl().freeQuotaRatio() <= 0.0 && v->ftl().needsGc() &&
+            !v->gc().active()) {
+            out.no_wedged_vssd = false;
+        }
+    }
+    if (out.audit.empty())
+        out.audit = check::auditBlocks(tb.device());
+    if (ElasticTenancyManager *el = tb.elastic()) {
+        out.max_retries_allowed = el->config().admission.max_retries;
+        out.end_level = el->pressureLevel();
+        out.end_queued = el->queuedArrivals();
+    }
+    // Every removed tenant must be fully quiesced: no request of its
+    // in flight anywhere in the scheduler.
+    for (VssdId id = 0; id < VssdId(tb.vssds().size()); ++id) {
+        if (!tb.vssds().alive(id) && !tb.scheduler().tenantQuiesced(id))
+            out.removed_quiesced = false;
+    }
 }
 
 Outcome
@@ -182,99 +212,32 @@ run(const Cell &cell, const Shape &shape)
         spec.opts.warmup_fill = cell.warmup_fill;
     if (cell.intensity > 0.0)
         spec.opts.intensity = cell.intensity;
-    std::vector<SimTime> slos;
-    for (WorkloadKind k : spec.workloads)
-        slos.push_back(calibratedSlo(k, spec.workloads.size(),
-                                     spec.opts));
+    spec.fleetio.train_windows = shape.train_windows;
+    spec.fleetio.config.supervisor.enabled = cell.supervise;
 
-    Testbed tb(spec.opts);
-    FleetIoPolicy::Variant var;
-    var.train_windows = shape.train_windows;
-    var.supervise = cell.supervise;
-    FleetIoPolicy policy(var);
-    policy.setup(tb, spec.workloads, slos);
-    FleetIoController &ctl = *policy.controller();
-    if (!cell.snapshot_dir.empty()) {
-        // Recovery reloads agents from their last on-disk snapshot;
-        // wire the controller into the testbed and give it a store
-        // per agent.
-        std::error_code ec;
-        std::filesystem::remove_all(cell.snapshot_dir, ec);
-        std::filesystem::create_directories(cell.snapshot_dir, ec);
-        tb.setController(&ctl);
-        ctl.setCheckpointDir(cell.snapshot_dir, /*interval_windows=*/2);
-    }
-    tb.warmupFill();
-    tb.startWorkloads();
-    tb.run(spec.warm_run);
-    policy.prepare(tb);
-    policy.beforeMeasure(tb);
-    tb.beginMeasurement();
-    tb.startChurn();
     Outcome out;
-    SimTime used = 0;
-    if (cell.inject != Inject::kNone) {
-        used = spec.measure / 4;
-        tb.run(used);
-        used += inject(cell.inject, tb, ctl, out);
-    }
-    if (used < spec.measure)
-        tb.run(spec.measure - used);
-    tb.endMeasurement();
-
-    out.util = tb.avgUtilization();
-    out.write_amp = tb.device().writeAmplification();
-    out.faults = tb.faultCounters();
-    out.retired = tb.device().totalRetiredBlocks();
-    out.revokes = tb.gsb().revokedCount();
-    out.report = tb.recoveryReport();
-    out.stats = ctl.supervisionStats();
-    if (const AgentSupervisor *sup = ctl.supervisor()) {
-        out.victim_healthy = sup->state(kVictim) ==
-                             AgentSupervisor::AgentState::kHealthy;
-    }
-    out.dispatched = tb.eq().dispatched();
-    const auto active = tb.vssds().active();
-    int ls = 0;
-    for (auto *v : active) {
-        out.bw.push_back(v->bandwidth().totalMBps(spec.measure));
-        out.vio.push_back(v->latency().sloViolation());
-        out.bytes.push_back(v->bandwidth().totalBytes());
-        out.agg_bw += out.bw.back();
-        out.slo_vio += out.vio.back();
-        out.repairs += v->ftl().programFailRepairs();
-        if (!isBandwidthIntensive(tb.tenantKind(v->id()))) {
-            out.ls_p99 += double(v->latency().quantile(0.99));
-            ++ls;
+    spec.on_step = [&](ExperimentStep step, Testbed &tb, Policy &policy) {
+        FleetIoController &ctl =
+            *static_cast<FleetIoPolicy &>(policy).controller();
+        if (step == ExperimentStep::kSetUp && !cell.snapshot_dir.empty()) {
+            // Recovery reloads agents from their last on-disk snapshot;
+            // wire the controller into the testbed and give it a store
+            // per agent.
+            std::error_code ec;
+            std::filesystem::remove_all(cell.snapshot_dir, ec);
+            std::filesystem::create_directories(cell.snapshot_dir, ec);
+            tb.setController(&ctl);
+            ctl.setCheckpointDir(cell.snapshot_dir,
+                                 /*interval_windows=*/2);
+        } else if (step == ExperimentStep::kMeasureStart &&
+                   cell.inject != Inject::kNone) {
+            tb.run(spec.measure / 4);
+            inject(cell.inject, tb, ctl, out);
+        } else if (step == ExperimentStep::kMeasured) {
+            collect(tb, ctl, out);
         }
-        if (out.audit.empty())
-            out.audit = check::auditMappings(tb.device(), v->ftl());
-        // A wedged vSSD: zero free quota with GC unable to help. The
-        // degradation machinery (retire + re-trigger + revoke) must
-        // keep every tenant above the floor.
-        if (v->ftl().freeQuotaRatio() <= 0.0 && v->ftl().needsGc() &&
-            !v->gc().active()) {
-            out.no_wedged_vssd = false;
-        }
-    }
-    if (!active.empty())
-        out.slo_vio /= double(active.size());
-    if (ls > 0)
-        out.ls_p99 /= ls;
-    if (out.audit.empty())
-        out.audit = check::auditBlocks(tb.device());
-    if (ElasticTenancyManager *el = tb.elastic()) {
-        out.churn = el->stats();
-        out.max_retries_allowed = el->config().admission.max_retries;
-        out.end_level = el->pressureLevel();
-        out.end_queued = el->queuedArrivals();
-    }
-    // Every removed tenant must be fully quiesced: no request of its
-    // in flight anywhere in the scheduler.
-    for (VssdId id = 0; id < VssdId(tb.vssds().size()); ++id) {
-        if (!tb.vssds().alive(id) && !tb.scheduler().tenantQuiesced(id))
-            out.removed_quiesced = false;
-    }
+    };
+    out.res = runExperiment(spec);
     return out;
 }
 
@@ -355,37 +318,42 @@ bool
 printFaults(const Section &s, const std::vector<Outcome> &outs,
             BenchReport &report)
 {
-    const Outcome &base = outs[0];
+    const ExperimentResult &base = outs[0].res;
     Table t({"faults", "util", "util/base", "BW (MB/s)", "BW/base",
              "LS P99", "P99/base", "SLO vio", "WA"});
     Table f({"faults", "rd-retries", "pgm-fail", "repaired",
              "erase-fail", "retired", "slowdowns", "revokes"});
     for (std::size_t i = 0; i < s.cells.size(); ++i) {
-        const Outcome &o = outs[i];
+        const ExperimentResult &o = outs[i].res;
         const std::string &l = s.cells[i].label;
-        t.addRow({l, fmtPercent(o.util),
-                  fmtDouble(normalizeTo(o.util, base.util)),
-                  fmtDouble(o.agg_bw, 1),
-                  fmtDouble(normalizeTo(o.agg_bw, base.agg_bw)),
-                  fmtLatencyMs(SimTime(o.ls_p99)),
-                  fmtDouble(normalizeTo(o.ls_p99, base.ls_p99)),
-                  fmtPercent(o.slo_vio), fmtDouble(o.write_amp)});
+        const double agg_bw = o.aggregateBwMBps();
+        const double ls_p99 = o.meanLatencySensitiveP99();
+        t.addRow({l, fmtPercent(o.avg_util),
+                  fmtDouble(normalizeTo(o.avg_util, base.avg_util)),
+                  fmtDouble(agg_bw, 1),
+                  fmtDouble(normalizeTo(agg_bw, base.aggregateBwMBps())),
+                  fmtLatencyMs(SimTime(ls_p99)),
+                  fmtDouble(normalizeTo(ls_p99,
+                                        base.meanLatencySensitiveP99())),
+                  fmtPercent(meanSloViolation(o)),
+                  fmtDouble(o.write_amp)});
         f.addRow({l, std::to_string(o.faults.read_retries),
                   std::to_string(o.faults.program_failures),
-                  std::to_string(o.repairs),
+                  std::to_string(o.program_fail_repairs),
                   std::to_string(o.faults.erase_failures),
-                  std::to_string(o.retired),
+                  std::to_string(o.blocks_retired),
                   std::to_string(o.faults.slowdown_windows),
-                  std::to_string(o.revokes)});
+                  std::to_string(o.gsb_revokes)});
         report.addCell("faults/" + l,
-                       {{"avg_util", o.util},
-                        {"agg_bw_mbps", o.agg_bw},
-                        {"ls_p99_ns", o.ls_p99},
-                        {"slo_violation", o.slo_vio},
+                       {{"avg_util", o.avg_util},
+                        {"agg_bw_mbps", agg_bw},
+                        {"ls_p99_ns", ls_p99},
+                        {"slo_violation", meanSloViolation(o)},
                         {"write_amp", o.write_amp},
-                        {"blocks_retired", double(o.retired)},
-                        {"mappings_intact", o.audit.empty() ? 1.0 : 0.0}},
-                       o.dispatched);
+                        {"blocks_retired", double(o.blocks_retired)},
+                        {"mappings_intact",
+                         outs[i].audit.empty() ? 1.0 : 0.0}},
+                       o.sim_events);
     }
     t.print(std::cout);
     std::cout << '\n';
@@ -514,33 +482,34 @@ printChurn(const Section &s, const std::vector<Outcome> &outs,
     Table t({"cell", "util", "BW (MB/s)", "SLO vio", "admit", "retry",
              "reject", "removed", "stepdn", "recov"});
     for (std::size_t i = 0; i < s.cells.size(); ++i) {
-        const Outcome &o = outs[i];
-        t.addRow({s.cells[i].label, fmtPercent(o.util),
-                  fmtDouble(o.agg_bw, 1), fmtPercent(o.slo_vio),
-                  std::to_string(o.churn.admitted),
-                  std::to_string(o.churn.retries),
-                  std::to_string(o.churn.rejected),
-                  std::to_string(o.churn.removals_completed) + "/" +
-                      std::to_string(o.churn.removals_requested),
-                  std::to_string(o.churn.tier_stepdowns),
-                  std::to_string(o.churn.tier_recoveries)});
+        const ExperimentResult &o = outs[i].res;
+        const ChurnStats &c = o.churn;
+        t.addRow({s.cells[i].label, fmtPercent(o.avg_util),
+                  fmtDouble(o.aggregateBwMBps(), 1),
+                  fmtPercent(meanSloViolation(o)),
+                  std::to_string(c.admitted), std::to_string(c.retries),
+                  std::to_string(c.rejected),
+                  std::to_string(c.removals_completed) + "/" +
+                      std::to_string(c.removals_requested),
+                  std::to_string(c.tier_stepdowns),
+                  std::to_string(c.tier_recoveries)});
         report.addCell("churn/" + s.cells[i].label,
-                       {{"avg_util", o.util},
-                        {"agg_bw_mbps", o.agg_bw},
-                        {"slo_violation", o.slo_vio},
-                        {"churn_admitted", double(o.churn.admitted)},
-                        {"churn_retries", double(o.churn.retries)},
-                        {"churn_rejected", double(o.churn.rejected)},
-                        {"churn_removals",
-                         double(o.churn.removals_completed)},
-                        {"tier_stepdowns", double(o.churn.tier_stepdowns)},
-                        {"mappings_intact", o.audit.empty() ? 1.0 : 0.0}},
-                       o.dispatched);
+                       {{"avg_util", o.avg_util},
+                        {"agg_bw_mbps", o.aggregateBwMBps()},
+                        {"slo_violation", meanSloViolation(o)},
+                        {"churn_admitted", double(c.admitted)},
+                        {"churn_retries", double(c.retries)},
+                        {"churn_rejected", double(c.rejected)},
+                        {"churn_removals", double(c.removals_completed)},
+                        {"tier_stepdowns", double(c.tier_stepdowns)},
+                        {"mappings_intact",
+                         outs[i].audit.empty() ? 1.0 : 0.0}},
+                       o.sim_events);
     }
     t.print(std::cout);
     std::cout << '\n';
 
-    const double base_util = outs[0].util;
+    const double base_util = outs[0].res.avg_util;
     Verdicts verdict;
     for (std::size_t i = 0; i < s.cells.size(); ++i) {
         const Outcome &o = outs[i];
@@ -549,26 +518,26 @@ printChurn(const Section &s, const std::vector<Outcome> &outs,
         verdict(o.no_wedged_vssd, l + ": no vSSD wedged");
         if (!s.cells[i].churn.enabled())
             continue;
-        verdict(o.churn.removals_completed == o.churn.removals_requested,
+        const ChurnStats &c = o.res.churn;
+        verdict(c.removals_completed == c.removals_requested,
                 l + ": all removals drained, scrubbed, reclaimed");
         verdict(o.removed_quiesced,
                 l + ": removed tenants fully quiesced");
-        verdict(o.churn.admitted >= 1,
-                l + ": at least one arrival admitted");
-        verdict(o.churn.max_attempts_observed <= o.max_retries_allowed,
+        verdict(c.admitted >= 1, l + ": at least one arrival admitted");
+        verdict(c.max_attempts_observed <= o.max_retries_allowed,
                 l + ": retry attempts within the bounded budget");
         verdict(o.end_queued == 0,
                 l + ": no arrival left stranded in the retry queue");
-        verdict(o.churn.tier_recoveries <= o.churn.tier_stepdowns &&
+        verdict(c.tier_recoveries <= c.tier_stepdowns &&
                     o.end_level >= 0 && o.end_level <= 3,
                 l + ": G-state ladder consistent");
-        verdict(o.util >= 0.2 * base_util,
+        verdict(o.res.avg_util >= 0.2 * base_util,
                 l + ": utilization above the churn floor");
     }
     // Degradation engagement: the aggressive-threshold storm cells sit
     // at a 1 % mean-violation trigger; a burst of cold arrivals on top
     // of a draining departure must push past it.
-    verdict(outs[3].churn.tier_stepdowns >= 1,
+    verdict(outs[3].res.churn.tier_stepdowns >= 1,
             "storm+tiers: SLO-tier degradation engaged");
     verdict(sameOutcome(outs[1], outs[s.cells.size()]),
             "identical churn cell reruns bit-identically");
@@ -660,7 +629,7 @@ printCrash(const Section &s, const std::vector<Outcome> &outs,
                         {"leases_reconciled", double(r.leases_reconciled)},
                         {"mappings_intact",
                          outs[i].audit.empty() ? 1.0 : 0.0}},
-                       outs[i].dispatched);
+                       outs[i].res.sim_events);
         t.addRow({s.cells[i].label, r.recovered ? "yes" : "-",
                   r.recovered ? fmtDouble(toMillis(r.rpo_ns), 1) : "-",
                   r.recovered ? fmtDouble(toMillis(r.rto_ns), 1) : "-",
@@ -714,8 +683,8 @@ printCrash(const Section &s, const std::vector<Outcome> &outs,
                     l + ": torn slot fell back to the previous "
                         "checkpoint");
         if (c.churn.enabled()) {
-            verdict(o.churn.removals_completed ==
-                        o.churn.removals_requested,
+            verdict(o.res.churn.removals_completed ==
+                        o.res.churn.removals_requested,
                     l + ": removal racing the crash ran to completion");
             verdict(o.removed_quiesced,
                     l + ": removed tenants fully quiesced");
@@ -767,13 +736,19 @@ printAgents(const Section &s, const std::vector<Outcome> &outs,
     swiso.measure = s.shape.measure;
     const ExperimentResult sw = runExperiment(swiso);
     const double sw_victim_bw = sw.tenants[kVictim].avg_bw_mbps;
+    const auto bw = [](const Outcome &o, VssdId id) {
+        return o.res.tenants[id].avg_bw_mbps;
+    };
+    const auto vio = [](const Outcome &o, VssdId id) {
+        return o.res.tenants[id].slo_violation;
+    };
 
     Table t({"arm", "victim BW", "peer BW", "peer vio", "trips",
              "restores", "fallback", "leases", "held pre/post"});
     for (std::size_t i = 0; i < s.cells.size(); ++i) {
         const Outcome &o = outs[i];
-        t.addRow({s.cells[i].label, fmtDouble(o.bw[kVictim], 1),
-                  fmtDouble(o.bw[kPeer], 1), fmtPercent(o.vio[kPeer]),
+        t.addRow({s.cells[i].label, fmtDouble(bw(o, kVictim), 1),
+                  fmtDouble(bw(o, kPeer), 1), fmtPercent(vio(o, kPeer)),
                   std::to_string(o.stats.trips),
                   std::to_string(o.stats.restores),
                   std::to_string(o.stats.fallback_windows),
@@ -781,10 +756,10 @@ printAgents(const Section &s, const std::vector<Outcome> &outs,
                   std::to_string(o.held_before) + "/" +
                       std::to_string(o.held_after)});
         report.addCell("agents/" + s.cells[i].label,
-                       {{"victim_bw_mbps", o.bw[kVictim]},
-                        {"peer_bw_mbps", o.bw[kPeer]},
-                        {"peer_slo_vio", o.vio[kPeer]},
-                        {"victim_slo_vio", o.vio[kVictim]},
+                       {{"victim_bw_mbps", bw(o, kVictim)},
+                        {"peer_bw_mbps", bw(o, kPeer)},
+                        {"peer_slo_vio", vio(o, kPeer)},
+                        {"victim_slo_vio", vio(o, kVictim)},
                         {"agent_trips", double(o.stats.trips)},
                         {"agent_restores", double(o.stats.restores)},
                         {"agent_fallback_windows",
@@ -792,7 +767,7 @@ printAgents(const Section &s, const std::vector<Outcome> &outs,
                         {"agent_lease_releases",
                          double(o.stats.lease_releases)},
                         {"held_after", double(o.held_after)}},
-                       o.dispatched);
+                       o.res.sim_events);
     }
     report.addCell("agents/sw-isolation", sw);
     t.addRow({"sw-isolation", fmtDouble(sw_victim_bw, 1),
@@ -821,21 +796,21 @@ printAgents(const Section &s, const std::vector<Outcome> &outs,
     // so the binding floor is the lower of the SW-isolation level and
     // the fault-free FleetIO level (the paper's full-size device has
     // SW-isolation as the lower bar).
-    const double bw_floor = 0.9 * std::min(sw_victim_bw, ff.bw[kVictim]);
-    verdict(cs.bw[kVictim] >= bw_floor,
+    const double bw_floor = 0.9 * std::min(sw_victim_bw, bw(ff, kVictim));
+    verdict(bw(cs, kVictim) >= bw_floor,
             "quarantined tenant BW stays at the deterministic isolation "
             "floor");
-    verdict(cs.vio[kPeer] <= ff.vio[kPeer] + 0.15,
+    verdict(vio(cs, kPeer) <= vio(ff, kPeer) + 0.15,
             "collocated tenant SLO intact under supervision");
-    verdict(cu.bw[kVictim] < bw_floor ||
-                cu.vio[kPeer] > ff.vio[kPeer] + 0.15 || cu.held_after > 0,
+    verdict(bw(cu, kVictim) < bw_floor ||
+                vio(cu, kPeer) > vio(ff, kPeer) + 0.15 || cu.held_after > 0,
             "unsupervised control demonstrably violates (BW floor, peer "
             "SLO, or stuck leases)");
     verdict(cu.stats.trips == 0,
             "control arm really ran without supervision");
     verdict(rs.stats.trips >= 1 && rs.victim_healthy,
             "reward spike trips the watchdog and recovers");
-    verdict(rs.vio[kPeer] <= ff.vio[kPeer] + 0.15,
+    verdict(vio(rs, kPeer) <= vio(ff, kPeer) + 0.15,
             "reward spike leaves collocated SLO intact");
 
     std::cout << "\nExpected shape: only the injected arms trip; the "

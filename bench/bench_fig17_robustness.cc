@@ -8,58 +8,35 @@
  * not overfit to the specific collocated tenant.
  */
 #include "bench/bench_common.h"
-#include "src/policies/fleetio_policy.h"
 
 using namespace fleetio;
 using namespace fleetio::bench;
 
 namespace {
 
-struct Outcome
-{
-    double util = 0;
-    double focus_bw = 0;   ///< bandwidth of the kept (focus) tenant
-    double focus_p99 = 0;  ///< P99 of the kept (focus) tenant
-};
-
 /**
  * Run FleetIO with tenants {focus, trained_with}; after training,
  * morph the collocated tenant into @p evaluated_with and measure.
  * Pass trained_with == evaluated_with for the Pretrained arm.
  */
-Outcome
+ExperimentResult
 run(WorkloadKind focus, WorkloadKind trained_with,
     WorkloadKind evaluated_with)
 {
     ExperimentSpec spec =
         makeSpec({focus, trained_with}, PolicyKind::kFleetIo);
     // Calibrate the SLOs against the *evaluated* combination.
-    std::vector<SimTime> slos{
-        calibratedSlo(focus, 2, spec.opts),
-        calibratedSlo(evaluated_with, 2, spec.opts)};
-
-    Testbed tb(spec.opts);
-    FleetIoPolicy policy;
-    policy.setup(tb, spec.workloads, slos);
-    tb.warmupFill();
-    tb.startWorkloads();
-    tb.run(spec.warm_run);
-    policy.prepare(tb);  // pre-training with the original neighbour
-
-    if (trained_with != evaluated_with)
-        tb.workload(1).morphTo(profileFor(evaluated_with));
-
-    policy.beforeMeasure(tb);
-    tb.beginMeasurement();
-    tb.run(spec.measure);
-    tb.endMeasurement();
-
-    Vssd *f = tb.vssds().get(0);
-    Outcome out;
-    out.util = tb.avgUtilization();
-    out.focus_bw = f->bandwidth().totalMBps(spec.measure);
-    out.focus_p99 = double(f->latency().quantile(0.99));
-    return out;
+    spec.slos = {calibratedSlo(focus, 2, spec.opts),
+                 calibratedSlo(evaluated_with, 2, spec.opts)};
+    // Pre-training ran with the original neighbour.
+    if (trained_with != evaluated_with) {
+        spec.on_step = [evaluated_with](ExperimentStep step, Testbed &tb,
+                                        Policy &) {
+            if (step == ExperimentStep::kPrepared)
+                tb.workload(1).morphTo(profileFor(evaluated_with));
+        };
+    }
+    return runExperiment(spec);
 }
 
 }  // namespace
@@ -106,34 +83,36 @@ main(int argc, char **argv)
              "Transfer/Pretrained"});
     for (std::size_t i = 0; i < cases.size(); ++i) {
         const auto &c = cases[i];
-        const Outcome &pre = outcomes[2 * i];
-        const Outcome &xfer = outcomes[2 * i + 1];
+        const ExperimentResult &pre = outcomes[2 * i];
+        const ExperimentResult &xfer = outcomes[2 * i + 1];
+        // The focus tenant is tenant 0.
+        const TenantResult &pre_f = pre.tenants[0];
+        const TenantResult &xfer_f = xfer.tenants[0];
         const std::string label =
             workloadName(c.focus) + " + (" + workloadName(c.trained) +
             " -> " + workloadName(c.evaluated) + ")";
-        t.addRow({label, "util", fmtPercent(pre.util),
-                  fmtPercent(xfer.util),
-                  fmtDouble(normalizeTo(xfer.util, pre.util))});
+        t.addRow({label, "util", fmtPercent(pre.avg_util),
+                  fmtPercent(xfer.avg_util),
+                  fmtDouble(normalizeTo(xfer.avg_util, pre.avg_util))});
         if (c.focus_is_bi) {
-            t.addRow({label, "BW (MB/s)", fmtDouble(pre.focus_bw, 1),
-                      fmtDouble(xfer.focus_bw, 1),
-                      fmtDouble(normalizeTo(xfer.focus_bw,
-                                            pre.focus_bw))});
+            t.addRow({label, "BW (MB/s)", fmtDouble(pre_f.avg_bw_mbps, 1),
+                      fmtDouble(xfer_f.avg_bw_mbps, 1),
+                      fmtDouble(normalizeTo(xfer_f.avg_bw_mbps,
+                                            pre_f.avg_bw_mbps))});
         } else {
-            t.addRow({label, "P99",
-                      fmtLatencyMs(SimTime(pre.focus_p99)),
-                      fmtLatencyMs(SimTime(xfer.focus_p99)),
-                      fmtDouble(normalizeTo(xfer.focus_p99,
-                                            pre.focus_p99))});
+            t.addRow({label, "P99", fmtLatencyMs(pre_f.p99),
+                      fmtLatencyMs(xfer_f.p99),
+                      fmtDouble(normalizeTo(double(xfer_f.p99),
+                                            double(pre_f.p99)))});
         }
         report.addCell(label + " [pretrained]",
-                       {{"util", pre.util},
-                        {"focus_bw_mbps", pre.focus_bw},
-                        {"focus_p99_ns", pre.focus_p99}});
+                       {{"util", pre.avg_util},
+                        {"focus_bw_mbps", pre_f.avg_bw_mbps},
+                        {"focus_p99_ns", double(pre_f.p99)}});
         report.addCell(label + " [transfer]",
-                       {{"util", xfer.util},
-                        {"focus_bw_mbps", xfer.focus_bw},
-                        {"focus_p99_ns", xfer.focus_p99}});
+                       {{"util", xfer.avg_util},
+                        {"focus_bw_mbps", xfer_f.avg_bw_mbps},
+                        {"focus_p99_ns", double(xfer_f.p99)}});
     }
     t.print(std::cout);
     std::cout << "\nExpected shape: Transfer within a few percent of "

@@ -150,37 +150,31 @@ struct DriftDrive
 DriftDrive
 driveDriftSwap(SimTime half_measure)
 {
-    TestbedOptions opts;
-    opts.seed = 42;
-    opts.window = msec(100);
-    opts.obs.drift = true;
-    Testbed tb(opts);
-    auto policy = makePolicy(PolicyKind::kFleetIo);
-    const std::vector<WorkloadKind> workloads{WorkloadKind::kVdiWeb,
-                                              WorkloadKind::kTeraSort};
-    const std::vector<SimTime> slos{msec(10), msec(10)};
-    policy->setup(tb, workloads, slos);
-    tb.warmupFill();
-    tb.startWorkloads();
-    tb.run(sec(1));
-    policy->prepare(tb);
-    policy->beforeMeasure(tb);
-    tb.beginMeasurement();
-    const std::uint64_t events_before = tb.eq().dispatched();
-
-    tb.run(half_measure);
+    ExperimentSpec spec;
+    spec.workloads = {WorkloadKind::kVdiWeb, WorkloadKind::kTeraSort};
+    spec.policy = PolicyKind::kFleetIo;
+    spec.opts.seed = 42;
+    spec.opts.window = msec(100);
+    spec.opts.obs.drift = true;
+    spec.slos = {msec(10), msec(10)};
+    spec.warm_run = sec(1);
+    spec.measure = 2 * half_measure;
     DriftDrive out;
-    out.flagged_before = tb.drift()->flaggedWindows();
-    // The swap: the LS tenant turns into a 3x-intensity scan.
-    tb.workload(0).morphTo(profileFor(WorkloadKind::kPageRank, 3.0));
-    tb.run(half_measure);
-    tb.endMeasurement();
-    tb.stopWorkloads();
-
-    out.flagged_after = tb.drift()->flaggedWindows();
-    out.scored = tb.drift()->windowsScored();
-    out.max_psi = tb.drift()->maxPsi();
-    out.sim_events = tb.eq().dispatched() - events_before;
+    std::uint64_t events_before = 0;
+    spec.on_step = [&](ExperimentStep step, Testbed &tb, Policy &) {
+        if (step != ExperimentStep::kMeasureStart)
+            return;
+        events_before = tb.eq().dispatched();
+        tb.run(half_measure);
+        out.flagged_before = tb.drift()->flaggedWindows();
+        // The swap: the LS tenant turns into a 3x-intensity scan.
+        tb.workload(0).morphTo(profileFor(WorkloadKind::kPageRank, 3.0));
+    };
+    const ExperimentResult res = runExperiment(spec);
+    out.flagged_after = res.drift_flags;
+    out.scored = res.drift_windows_scored;
+    out.max_psi = res.max_drift_psi;
+    out.sim_events = res.sim_events - events_before;
     return out;
 }
 

@@ -142,45 +142,61 @@ runExperiment(const ExperimentSpec &spec)
         opts.obs = {.trace = true, .metrics = true, .attribution = true,
                     .drift = true};
 
-    obs::PhaseProfiler prof;
+    // Room for all six phases, so that no step's heap-allocation count
+    // includes the profiler's own.
+    obs::PhaseProfiler prof(6);
     prof.begin("calibrate");
 
-    // 1. Per-tenant SLOs from hardware-isolated calibration.
-    std::vector<SimTime> slos;
-    slos.reserve(spec.workloads.size());
-    for (WorkloadKind kind : spec.workloads) {
-        slos.push_back(
-            calibratedSlo(kind, spec.workloads.size(), spec.opts));
+    // 1. Per-tenant SLOs: the spec's, or hardware-isolated calibration.
+    std::vector<SimTime> slos = spec.slos;
+    if (slos.empty()) {
+        for (WorkloadKind kind : spec.workloads) {
+            slos.push_back(
+                calibratedSlo(kind, spec.workloads.size(), spec.opts));
+        }
     }
 
     // 2. Build the testbed under the policy.
     prof.begin("build");
     Testbed tb(opts);
-    auto policy = makePolicy(spec.policy);
+    auto policy = makePolicy(spec.policy, spec.fleetio);
     policy->setup(tb, spec.workloads, slos);
+    // Each step's hook runs after the profiler opens the next phase.
+    const auto step = [&](ExperimentStep s) {
+        if (spec.on_step)
+            spec.on_step(s, tb, *policy);
+    };
 
     // 3. Warm up: pre-fill capacity, settle into steady state.
     prof.begin("warmup", tb.eq().dispatched());
+    step(ExperimentStep::kSetUp);
     tb.warmupFill();
     tb.startWorkloads();
     tb.run(spec.warm_run);
 
     // 4. Policy preparation (RL pre-training, DNN profiling, ...).
     prof.begin("prepare", tb.eq().dispatched());
+    step(ExperimentStep::kWarmedUp);
     policy->prepare(tb);
 
     // 5. Measure.
     prof.begin("measure", tb.eq().dispatched());
+    step(ExperimentStep::kPrepared);
     policy->beforeMeasure(tb);
     tb.beginMeasurement();
     // Elastic churn (if configured) plays out inside the measured
     // region; a no-op for static runs.
     tb.startChurn();
-    tb.run(spec.measure);
+    // The hook may run part of the measure itself. Testbed::run ends at
+    // an absolute time, so the split run is the same run.
+    const SimTime measure_end = tb.eq().now() + spec.measure;
+    step(ExperimentStep::kMeasureStart);
+    tb.run(measure_end - tb.eq().now());
     tb.endMeasurement();
 
     // 6. Collect.
     prof.begin("collect", tb.eq().dispatched());
+    step(ExperimentStep::kMeasured);
     ExperimentResult res;
     res.policy = policy->name();
     res.measured = spec.measure;

@@ -3,17 +3,19 @@
  * End-to-end experiment runner: calibrates per-tenant SLOs, builds a
  * testbed under a policy, warms up, prepares (training/profiling),
  * measures, and returns the metrics every figure of the paper is
- * derived from.
+ * derived from. It is the only code that orders a policy's phases;
+ * benches and tests that need to act between them pass a step hook.
  */
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/harness/testbed.h"
 #include "src/obs/phase_profiler.h"
-#include "src/policies/policy.h"
+#include "src/policies/fleetio_policy.h"
 
 namespace fleetio {
 
@@ -97,6 +99,16 @@ struct ExperimentResult
     double meanBandwidthIntensiveBw() const;
 };
 
+/** The points at which runExperiment calls ExperimentSpec::on_step,
+ *  in the order they fire. */
+enum class ExperimentStep {
+    kSetUp,         ///< after Policy::setup, before the warm-up fill
+    kWarmedUp,      ///< after the warm-up run, before Policy::prepare
+    kPrepared,      ///< after Policy::prepare, before beforeMeasure
+    kMeasureStart,  ///< measurement begun and churn started
+    kMeasured,      ///< after endMeasurement, before the collect
+};
+
 /** Everything needed to run one experiment. */
 struct ExperimentSpec
 {
@@ -105,11 +117,25 @@ struct ExperimentSpec
     TestbedOptions opts{};
     SimTime warm_run = sec(2);   ///< steady-state settle before prepare
     SimTime measure = sec(10);   ///< measurement duration
+
+    /** Per-tenant SLOs, one per workload. Empty = calibrate each with
+     *  calibratedSlo (the paper's default). */
+    std::vector<SimTime> slos{};
+
+    /** The variant makePolicy starts from for the FleetIO kinds. */
+    FleetIoPolicy::Variant fleetio{};
+
+    /**
+     * Called once at each ExperimentStep, with the run's testbed and
+     * policy. A kMeasureStart hook may advance the clock (tb.run());
+     * the measured region still ends spec.measure after it began.
+     */
+    std::function<void(ExperimentStep, Testbed &, Policy &)> on_step{};
 };
 
 /**
  * Run one experiment. Deterministic for a fixed spec (all RNG seeds
- * derive from opts.seed).
+ * derive from opts.seed), as long as on_step is.
  */
 ExperimentResult runExperiment(const ExperimentSpec &spec);
 

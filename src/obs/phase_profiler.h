@@ -34,6 +34,10 @@ struct Phase
 class PhaseProfiler
 {
   public:
+    /** Room for @p phases phases up front, so that opening and closing
+     *  that many allocates nothing. */
+    explicit PhaseProfiler(std::size_t phases = 0) { phases_.reserve(phases); }
+
     void begin(const std::string &name, std::uint64_t sim_events_now = 0);
     void end(std::uint64_t sim_events_now = 0);
 

@@ -92,16 +92,9 @@ FleetIoPolicy::setup(Testbed &tb,
         tb.scheduler().useStride(false);
     }
 
-    FleetIoConfig cfg;
+    FleetIoConfig cfg = variant_.config;
     cfg.decision_window = tb.options().window;
-    cfg.beta = variant_.beta;
     cfg.teacher_windows = variant_.train_windows * 2 / 3;
-    cfg.supervisor.enabled = variant_.supervise;
-    // Online fine-tuning after pre-training is deliberately gentle so
-    // the deployed policy stays near the pre-trained behaviour while
-    // still adapting (the paper fine-tunes every 10 windows).
-    cfg.ppo.adam.lr = 3e-5;
-    cfg.ppo.ent_coef = 0.002;
     // Scale the action bandwidth levels to the device: 0..4 channels.
     cfg.harvest_bw_levels.clear();
     cfg.harvestable_bw_levels.clear();

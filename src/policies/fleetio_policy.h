@@ -21,18 +21,31 @@ class FleetIoPolicy : public Policy
     {
         /** Fine-tuned per-type alpha (false = unified alpha, §4.4). */
         bool customized_alpha = true;
-        /** Multi-agent reward blend (1.0 = purely local, §4.4). */
-        double beta = 0.6;
         /** Mixed HW/SW tenant layout of §4.5 instead of equal HW. */
         bool mixed_layout = false;
-        /** Pre-training length in decision windows (first half runs the
-         *  behaviour-cloning teacher phase). */
+        /** Pre-training length in decision windows (the first two
+         *  thirds run the behaviour-cloning teacher phase). */
         int train_windows = 600;
-        /** Agent supervision layer (DESIGN.md §8). Off = the paper's
-         *  bare controller, used as the control arm in resilience
-         *  benches. */
-        bool supervise = true;
         std::string display_name = "FleetIO";
+        /**
+         * The controller's configuration. setup() derives the decision
+         * window, the teacher windows and the action bandwidth levels
+         * from the testbed and train_windows; the rest is used as
+         * given, including beta (the multi-agent reward blend; 1.0 =
+         * purely local, §4.4) and supervisor.enabled (the agent
+         * supervision layer, DESIGN.md §8; off = the paper's bare
+         * controller, the control arm of the resilience benches).
+         * Online fine-tuning after pre-training is deliberately gentle
+         * (lr 3e-5, entropy 0.002), so the deployed policy stays near
+         * the pre-trained behaviour while still adapting (the paper
+         * fine-tunes every 10 windows).
+         */
+        FleetIoConfig config = [] {
+            FleetIoConfig cfg;
+            cfg.ppo.adam.lr = 3e-5;
+            cfg.ppo.ent_coef = 0.002;
+            return cfg;
+        }();
     };
 
     FleetIoPolicy() : FleetIoPolicy(Variant{}) {}
@@ -81,5 +94,10 @@ class MixedIsolationPolicy : public Policy
 void buildMixedLayout(Testbed &tb,
                       const std::vector<WorkloadKind> &workloads,
                       const std::vector<SimTime> &slos);
+
+/** makePolicy(kind), with the FleetIO kinds starting from @p fleetio
+ *  (each kind's own alpha, beta, layout and name apply on top). */
+std::unique_ptr<Policy> makePolicy(PolicyKind kind,
+                                   const FleetIoPolicy::Variant &fleetio);
 
 }  // namespace fleetio

@@ -47,6 +47,13 @@ alphaForKind(WorkloadKind kind)
 std::unique_ptr<Policy>
 makePolicy(PolicyKind kind)
 {
+    return makePolicy(kind, FleetIoPolicy::Variant{});
+}
+
+std::unique_ptr<Policy>
+makePolicy(PolicyKind kind, const FleetIoPolicy::Variant &fleetio)
+{
+    FleetIoPolicy::Variant v = fleetio;
     switch (kind) {
       case PolicyKind::kHardwareIsolation:
         return std::make_unique<HardwareIsolationPolicy>();
@@ -57,29 +64,21 @@ makePolicy(PolicyKind kind)
       case PolicyKind::kSoftwareIsolation:
         return std::make_unique<SoftwareIsolationPolicy>();
       case PolicyKind::kFleetIo:
-        return std::make_unique<FleetIoPolicy>();
-      case PolicyKind::kFleetIoUnifiedGlobal: {
-        FleetIoPolicy::Variant v;
+        return std::make_unique<FleetIoPolicy>(v);
+      case PolicyKind::kFleetIoUnifiedGlobal:
         v.customized_alpha = false;
-        v.beta = 0.6;
         v.display_name = "FleetIO-Unified-Global";
         return std::make_unique<FleetIoPolicy>(v);
-      }
-      case PolicyKind::kFleetIoCustomizedLocal: {
-        FleetIoPolicy::Variant v;
-        v.customized_alpha = true;
-        v.beta = 1.0;
+      case PolicyKind::kFleetIoCustomizedLocal:
+        v.config.beta = 1.0;
         v.display_name = "FleetIO-Customized-Local";
         return std::make_unique<FleetIoPolicy>(v);
-      }
       case PolicyKind::kMixedIsolation:
         return std::make_unique<MixedIsolationPolicy>();
-      case PolicyKind::kFleetIoMixed: {
-        FleetIoPolicy::Variant v;
+      case PolicyKind::kFleetIoMixed:
         v.mixed_layout = true;
         v.display_name = "FleetIO (mixed)";
         return std::make_unique<FleetIoPolicy>(v);
-      }
     }
     return nullptr;
 }

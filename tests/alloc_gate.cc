@@ -1,10 +1,10 @@
 /**
  * @file
  * Exact heap-allocation gate. Each cell runs one experiment through
- * runExperiment()'s steps and counts global operator new calls over
- * policy->prepare() and over the measure phase (beforeMeasure through
- * endMeasurement). Both counts must equal the constants committed
- * below. The simulator is deterministic, so the counts repeat exactly
+ * runExperiment() and, from its step hook, counts global operator new
+ * calls over policy->prepare() and over the measure phase
+ * (beforeMeasure through endMeasurement). Both counts must equal the
+ * constants committed below. The simulator is deterministic, so the counts repeat exactly
  * from run to run, from -O0 to -O3 and under ASan + UBSan (GCC 12.2's
  * libstdc++); any allocation added to or removed from those paths
  * changes them.
@@ -20,8 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <vector>
+#include <functional>
 
 #include "simbench/alloc_count.h"
 #include "src/harness/experiment.h"
@@ -29,17 +28,6 @@
 
 namespace fleetio {
 namespace {
-
-/** One finished cell. The policy is declared after the testbed so it
- *  is destroyed first, as in runExperiment(). */
-struct Cell
-{
-    std::unique_ptr<Testbed> tb;
-    std::unique_ptr<Policy> policy;
-    SimTime measure_start = 0;
-    std::uint64_t prepare_allocs = 0;
-    std::uint64_t measure_allocs = 0;
-};
 
 /** Table-5 mix4 under @p policy: 100 ms windows, seed 7, 0.5 s warm-up
  *  and 2 s measured. */
@@ -57,58 +45,43 @@ gateSpec(PolicyKind policy)
     return spec;
 }
 
-/** runExperiment()'s steps, counting allocations over prepare and
- *  over the measure phase. */
-Cell
-runCell(const ExperimentSpec &spec)
+/**
+ * Runs @p spec and checks its allocations over prepare and over the
+ * measure phase against the committed counts. @p inspect, if given,
+ * sees the testbed once the measure has ended. @return the result.
+ */
+ExperimentResult
+expectAllocs(ExperimentSpec spec, std::uint64_t prepare,
+             std::uint64_t measure,
+             const std::function<void(Testbed &)> &inspect = {})
 {
-    std::vector<SimTime> slos;
-    for (WorkloadKind kind : spec.workloads)
-        slos.push_back(
-            calibratedSlo(kind, spec.workloads.size(), spec.opts));
-
-    Cell c;
-    c.tb = std::make_unique<Testbed>(spec.opts);
-    Testbed &tb = *c.tb;
-    c.policy = makePolicy(spec.policy);
-    c.policy->setup(tb, spec.workloads, slos);
-
-    tb.warmupFill();
-    tb.startWorkloads();
-    tb.run(spec.warm_run);
-
-    const std::uint64_t a0 = simbench::heapAllocations();
-    c.policy->prepare(tb);
-    const std::uint64_t a1 = simbench::heapAllocations();
-
-    c.measure_start = tb.eq().now();
-    c.policy->beforeMeasure(tb);
-    tb.beginMeasurement();
-    tb.startChurn();
-    tb.run(spec.measure);
-    tb.endMeasurement();
-    const std::uint64_t a2 = simbench::heapAllocations();
-
-    c.prepare_allocs = a1 - a0;
-    c.measure_allocs = a2 - a1;
-    return c;
-}
-
-void
-expectAllocs(const Cell &c, std::uint64_t prepare, std::uint64_t measure)
-{
-    EXPECT_EQ(c.prepare_allocs, prepare)
-        << "prepare-phase heap allocations: got " << c.prepare_allocs
+    std::uint64_t warmed = 0;
+    std::uint64_t prepared = 0;
+    std::uint64_t measured = 0;
+    spec.on_step = [&](ExperimentStep step, Testbed &tb, Policy &) {
+        if (step == ExperimentStep::kWarmedUp) {
+            warmed = simbench::heapAllocations();
+        } else if (step == ExperimentStep::kPrepared) {
+            prepared = simbench::heapAllocations();
+        } else if (step == ExperimentStep::kMeasured) {
+            measured = simbench::heapAllocations();
+            if (inspect)
+                inspect(tb);
+        }
+    };
+    const ExperimentResult res = runExperiment(spec);
+    EXPECT_EQ(prepared - warmed, prepare)
+        << "prepare-phase heap allocations: got " << prepared - warmed
         << ", committed " << prepare;
-    EXPECT_EQ(c.measure_allocs, measure)
-        << "measure-phase heap allocations: got " << c.measure_allocs
+    EXPECT_EQ(measured - prepared, measure)
+        << "measure-phase heap allocations: got " << measured - prepared
         << ", committed " << measure;
+    return res;
 }
 
 TEST(AllocGate, HardwareIsolation)
 {
-    const Cell c = runCell(gateSpec(PolicyKind::kHardwareIsolation));
-    expectAllocs(c, 0, 24400);
+    expectAllocs(gateSpec(PolicyKind::kHardwareIsolation), 0, 24400);
 }
 
 TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
@@ -118,16 +91,15 @@ TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
     spec.opts.obs.metrics = true;
     spec.opts.obs.attribution = true;
     spec.opts.obs.drift = true;
-    const Cell c = runCell(spec);
-    ASSERT_NE(c.tb->tracer(), nullptr);
-    ASSERT_NE(c.tb->attribution(), nullptr);
-    expectAllocs(c, 0, 30432);
+    expectAllocs(spec, 0, 30432, [](Testbed &tb) {
+        EXPECT_NE(tb.tracer(), nullptr);
+        EXPECT_NE(tb.attribution(), nullptr);
+    });
 }
 
 TEST(AllocGate, FleetIo)
 {
-    const Cell c = runCell(gateSpec(PolicyKind::kFleetIo));
-    expectAllocs(c, 492980, 16612);
+    expectAllocs(gateSpec(PolicyKind::kFleetIo), 492980, 16612);
 }
 
 TEST(AllocGate, FleetIoWithFaults)
@@ -139,9 +111,8 @@ TEST(AllocGate, FleetIoWithFaults)
     f.erase_fail_prob = 1e-2;
     f.chip_slowdown_prob = 1e-3;
     f.wear_error_growth = 1e-5;
-    const Cell c = runCell(spec);
-    EXPECT_GT(c.tb->faultCounters().read_retries, 0u);
-    expectAllocs(c, 501727, 16125);
+    const ExperimentResult res = expectAllocs(spec, 501727, 16125);
+    EXPECT_GT(res.faults.read_retries, 0u);
 }
 
 TEST(AllocGate, FleetIoWithChurn)
@@ -170,11 +141,9 @@ TEST(AllocGate, FleetIoWithChurn)
     el.admission.backoff_base = msec(100);
     el.admission.backoff_cap = msec(800);
     el.admission.max_retries = 8;
-    const Cell c = runCell(spec);
-    ASSERT_NE(c.tb->elastic(), nullptr);
-    EXPECT_EQ(c.tb->elastic()->stats().removals_completed, 1u);
-    EXPECT_EQ(c.tb->elastic()->stats().admitted, 1u);
-    expectAllocs(c, 492980, 25412);
+    const ExperimentResult res = expectAllocs(spec, 492980, 25412);
+    EXPECT_EQ(res.churn.removals_completed, 1u);
+    EXPECT_EQ(res.churn.admitted, 1u);
 }
 
 TEST(AllocGate, HardwareIsolationWithPowerLoss)
@@ -182,16 +151,15 @@ TEST(AllocGate, HardwareIsolationWithPowerLoss)
     ExperimentSpec spec = gateSpec(PolicyKind::kHardwareIsolation);
     spec.opts.crash.plan.trigger = CrashPlan::Trigger::kSimTime;
     spec.opts.crash.plan.at = spec.warm_run + spec.measure / 2;
-    const Cell c = runCell(spec);
-    ASSERT_TRUE(c.tb->recovered());
-    EXPECT_GT(c.tb->recoveryReport().crash_time, c.measure_start);
-    expectAllocs(c, 0, 128809);
+    expectAllocs(spec, 0, 128809, [](Testbed &tb) {
+        EXPECT_TRUE(tb.recovered());
+        EXPECT_GT(tb.recoveryReport().crash_time, tb.measureStart());
+    });
 }
 
 TEST(AllocGate, SsdKeeper)
 {
-    const Cell c = runCell(gateSpec(PolicyKind::kSsdKeeper));
-    expectAllocs(c, 6266, 23852);
+    expectAllocs(gateSpec(PolicyKind::kSsdKeeper), 6266, 23852);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-/** @file Tests for the parallel experiment harness. */
+/** @file Tests for the experiment harness: runExperiment's step hook,
+ *  the outcome digest and the parallel runner. */
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -141,6 +142,62 @@ tinySpec(WorkloadKind a, WorkloadKind b, PolicyKind policy)
     spec.warm_run = msec(200);
     spec.measure = msec(500);
     return spec;
+}
+
+TEST(RunExperiment, StepHookFiresOnceAtEachStepInOrder)
+{
+    ExperimentSpec spec = tinySpec(WorkloadKind::kVdiWeb,
+                                   WorkloadKind::kTeraSort,
+                                   PolicyKind::kHardwareIsolation);
+    std::vector<ExperimentStep> steps;
+    spec.on_step = [&steps](ExperimentStep step, Testbed &, Policy &) {
+        steps.push_back(step);
+    };
+    runExperiment(spec);
+    using S = ExperimentStep;
+    EXPECT_EQ(steps, (std::vector<S>{S::kSetUp, S::kWarmedUp, S::kPrepared,
+                                     S::kMeasureStart, S::kMeasured}));
+}
+
+TEST(RunExperiment, MeasureEndsSpecMeasureAfterItsStart)
+{
+    // A measure-start hook that runs part of the measure itself: the
+    // measured region still ends spec.measure after it began, and the
+    // split run is the same run.
+    ExperimentSpec spec = tinySpec(WorkloadKind::kVdiWeb,
+                                   WorkloadKind::kTeraSort,
+                                   PolicyKind::kHardwareIsolation);
+    const std::uint64_t plain = check::outcomeDigest(runExperiment(spec));
+    SimTime start = 0;
+    SimTime end = 0;
+    spec.on_step = [&](ExperimentStep step, Testbed &tb, Policy &) {
+        if (step == ExperimentStep::kMeasureStart) {
+            start = tb.eq().now();
+            tb.run(spec.measure / 4);
+        } else if (step == ExperimentStep::kMeasured) {
+            end = tb.eq().now();
+        }
+    };
+    const ExperimentResult res = runExperiment(spec);
+    EXPECT_EQ(start, spec.warm_run);
+    EXPECT_EQ(end, start + spec.measure);
+    EXPECT_EQ(check::outcomeDigest(res), plain);
+}
+
+TEST(RunExperiment, ObservingHookLeavesTheOutcome)
+{
+    ExperimentSpec spec = tinySpec(WorkloadKind::kYcsbB,
+                                   WorkloadKind::kMlPrep,
+                                   PolicyKind::kSoftwareIsolation);
+    const std::uint64_t plain = check::outcomeDigest(runExperiment(spec));
+    std::uint64_t seen = 0;
+    spec.on_step = [&seen](ExperimentStep, Testbed &tb, Policy &policy) {
+        seen += tb.eq().dispatched() + tb.vssds().active().size() +
+                policy.name().size();
+    };
+    const ExperimentResult res = runExperiment(spec);
+    EXPECT_GT(seen, 0u);
+    EXPECT_EQ(check::outcomeDigest(res), plain);
 }
 
 TEST(RunExperiments, ParallelIsBitIdenticalToSerialLoop)
