@@ -67,7 +67,8 @@ struct Cell
     TestbedOptions::ChurnOptions churn{};
     TestbedOptions::CrashOptions crash{};
     /// Directory for the agents' on-disk snapshots, which crash
-    /// recovery reloads; empty = none.
+    /// recovery reloads; empty = none. run() removes it once the
+    /// outcome is collected.
     std::string snapshot_dir{};
     double warmup_fill = 0.0;  ///< 0 = testbed default
     double intensity = 0.0;    ///< 0 = testbed default
@@ -238,6 +239,10 @@ run(const Cell &cell, const Shape &shape)
         }
     };
     out.res = runExperiment(spec);
+    if (!cell.snapshot_dir.empty()) {
+        std::error_code ec;
+        std::filesystem::remove_all(cell.snapshot_dir, ec);
+    }
     return out;
 }
 
