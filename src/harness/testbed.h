@@ -195,9 +195,6 @@ class Testbed
         return recovery_report_;
     }
 
-    /** The pre-crash shadow (bench verdicts compare against it). */
-    const CrashShadow &crashShadow() const { return shadow_; }
-
     /** Invoked after an admitted arrival is provisioned (vSSD created,
      *  workload started); RL policies use it to attach a mid-run agent
      *  bootstrapped from the teacher. */

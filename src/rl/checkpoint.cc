@@ -132,22 +132,6 @@ AgentCheckpoint::wellFormed() const
            allFinite(adam_m) && allFinite(adam_v);
 }
 
-const char *
-checkpointErrorName(CheckpointError err)
-{
-    switch (err) {
-      case CheckpointError::kOk: return "ok";
-      case CheckpointError::kIoError: return "io-error";
-      case CheckpointError::kBadMagic: return "bad-magic";
-      case CheckpointError::kBadVersion: return "bad-version";
-      case CheckpointError::kTruncated: return "truncated";
-      case CheckpointError::kChecksum: return "checksum-mismatch";
-      case CheckpointError::kShapeMismatch: return "shape-mismatch";
-      case CheckpointError::kNonFinite: return "non-finite";
-    }
-    return "unknown";
-}
-
 namespace {
 
 /** Armed crash point (see setCheckpointFailpoint); "" = off. */

@@ -59,9 +59,6 @@ enum class CheckpointError {
     kNonFinite,     ///< NaN/inf in params, moments, or alpha
 };
 
-/** Human-readable name for a CheckpointError. */
-const char *checkpointErrorName(CheckpointError err);
-
 /**
  * Serialize @p ckpt to @p path atomically (write to "<path>.tmp", then
  * rename over @p path). @return false on any I/O failure; the previous

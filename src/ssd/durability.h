@@ -126,7 +126,6 @@ class DurabilityModel
                          SimTime now);
 
     std::uint64_t checkpointsWritten() const { return checkpoints_; }
-    SimTime lastCheckpointTime() const { return slots_[0].when; }
 
     // --- crash / fault hooks -------------------------------------------
 

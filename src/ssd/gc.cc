@@ -93,7 +93,7 @@ GcEngine::pumpMigrations()
                                 .block(current_.blk);
 
     // Launch migrations up to the pipeline width.
-    while (in_flight_ < migration_width_ &&
+    while (in_flight_ < kMigrationWidth &&
            next_page_ < geo.pages_per_block) {
         if (!blk.valid[next_page_]) {
             ++next_page_;

@@ -41,13 +41,6 @@ class GcEngine
     GcEngine(FlashDevice &dev, Ftl &home, HarvestedBlockTable &hbt,
              Hooks hooks);
 
-    /** Concurrent page migrations per reclamation (default 16): GC
-     *  copyback pipelines across chips/channels like real firmware. */
-    void setMigrationWidth(std::uint32_t width)
-    {
-        migration_width_ = width > 0 ? width : 1;
-    }
-
     /** Kick the engine: starts a job when a trigger condition holds. */
     void maybeStart();
 
@@ -112,7 +105,9 @@ class GcEngine
     Victim current_;
     PageId next_page_ = 0;
     std::uint32_t in_flight_ = 0;
-    std::uint32_t migration_width_ = 2;
+    /** Concurrent page migrations per reclamation: GC copyback
+     *  pipelines across chips/channels like real firmware. */
+    static constexpr std::uint32_t kMigrationWidth = 2;
     std::uint32_t retry_count_ = 0;
     std::uint64_t job_gen_ = 0;  ///< invalidates stale in-flight events
 

@@ -39,7 +39,6 @@ PowerLossInjector::crashNow()
     armed_ = false;
     fired_ = true;
     crashed_ = true;
-    crash_time_ = eq_.now();
     durability_.freeze();
     if (on_crash_)
         on_crash_();

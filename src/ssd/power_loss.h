@@ -96,8 +96,6 @@ class PowerLossInjector
     /** A crash has fired at some point (never reset). */
     bool fired() const { return fired_; }
 
-    SimTime crashTime() const { return crash_time_; }
-
     /**
      * Invoked synchronously inside crashNow(), before the in-flight
      * callback resumes — the harness snapshots its shadow model (the
@@ -114,7 +112,6 @@ class PowerLossInjector
     bool fired_ = false;
     std::uint32_t phase_remaining_ = 0;
     std::uint64_t events_remaining_ = 0;
-    SimTime crash_time_ = 0;
     InlineFunction<void()> on_crash_;
 };
 

@@ -259,7 +259,7 @@ IoScheduler::pump(ChannelId ch)
                 head.foreign ? std::size_t(head.req->prio)
                              : std::max(std::size_t(head.req->prio),
                                         std::size_t(Priority::kMedium));
-            if (dev_.channel(ch).outstanding() >= prio_caps_[cap_prio])
+            if (dev_.channel(ch).outstanding() >= kPrioCaps[cap_prio])
                 continue;  // keep the queue shallow for this priority
             const int prio = use_priority_ ? int(head.req->prio) : 0;
             const double pass =

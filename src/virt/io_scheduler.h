@@ -45,24 +45,6 @@ class IoScheduler
     /** Enable priority-level ordering (default on). */
     void usePriority(bool on) { use_priority_ = on; }
 
-    /**
-     * Per-priority dispatch cap: an op of priority p is dispatched only
-     * while the channel has fewer than cap(p) outstanding ops. Lower
-     * caps keep the device queue shallow for low-priority traffic, so
-     * high-priority I/O on shared channels sees a short bus backlog —
-     * the mechanism behind FleetIO's Set_Priority isolation. Caps are
-     * a device-dispatch property and apply in every scheduling mode
-     * (everything defaults to medium).
-     */
-    void setPriorityCap(Priority p, std::uint32_t cap)
-    {
-        prio_caps_[std::size_t(p)] = cap;
-    }
-    std::uint32_t priorityCap(Priority p) const
-    {
-        return prio_caps_[std::size_t(p)];
-    }
-
     /** Enable stride proportional sharing (default off). */
     void useStride(bool on) { use_stride_ = on; }
 
@@ -176,8 +158,17 @@ class IoScheduler
 
     bool use_priority_ = true;
     bool use_stride_ = false;
-    /** Dispatch caps indexed by Priority (low, medium, high). */
-    std::array<std::uint32_t, kNumPriorities> prio_caps_{2u, 6u, 64u};
+    /**
+     * Per-priority dispatch caps, indexed by Priority (low, medium,
+     * high): an op of priority p is dispatched only while the channel
+     * has fewer than kPrioCaps[p] outstanding ops. Low caps keep the
+     * device queue shallow for low-priority traffic, so high-priority
+     * I/O on shared channels sees a short bus backlog — the mechanism
+     * behind FleetIO's Set_Priority isolation. Caps are a
+     * device-dispatch property and apply in every scheduling mode.
+     */
+    static constexpr std::array<std::uint32_t, kNumPriorities> kPrioCaps{
+        2u, 6u, 64u};
     bool retry_scheduled_ = false;
     std::uint64_t next_seq_ = 0;
     std::uint64_t next_req_id_ = 0;

@@ -62,16 +62,4 @@ clampPriority(Priority p, QosTier t)
     return std::uint8_t(p) > std::uint8_t(ceil) ? ceil : p;
 }
 
-inline constexpr const char *
-qosTierName(QosTier t)
-{
-    switch (t) {
-    case QosTier::kG0: return "G0";
-    case QosTier::kG1: return "G1";
-    case QosTier::kG2: return "G2";
-    case QosTier::kG3: return "G3";
-    }
-    return "G?";
-}
-
 }  // namespace fleetio

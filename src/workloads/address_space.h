@@ -49,11 +49,6 @@ class AddressSpace
     /** Pick a stream uniformly. */
     std::uint32_t pickStream(Rng &rng);
 
-    std::uint32_t numStreams() const
-    {
-        return std::uint32_t(cursors_.size());
-    }
-
   private:
     std::uint64_t ws_pages_;
     double zipf_skew_;

@@ -103,7 +103,6 @@ class SyntheticWorkload
     /** Enable block-trace capture (for clustering), up to @p cap. */
     void enableTrace(std::size_t cap = 200000);
     const std::vector<TraceRecord> &trace() const { return trace_; }
-    void clearTrace() { trace_.clear(); }
 
     /**
      * Swap the generator's behaviour profile at runtime (robustness
