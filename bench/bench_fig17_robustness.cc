@@ -28,7 +28,8 @@ run(WorkloadKind focus, WorkloadKind trained_with,
     // Calibrate the SLOs against the *evaluated* combination.
     spec.slos = {calibratedSlo(focus, 2, spec.opts),
                  calibratedSlo(evaluated_with, 2, spec.opts)};
-    // Pre-training ran with the original neighbour.
+    // The Transfer arm pre-trains with the original neighbour, which
+    // turns into the evaluated one before the measure.
     if (trained_with != evaluated_with) {
         spec.on_step = [evaluated_with](ExperimentStep step, Testbed &tb,
                                         Policy &) {

@@ -127,8 +127,9 @@ struct ExperimentSpec
 
     /**
      * Called once at each ExperimentStep, with the run's testbed and
-     * policy. A kMeasureStart hook may advance the clock (tb.run());
-     * the measured region still ends spec.measure after it began.
+     * policy. A kMeasureStart hook may advance the clock (tb.run()),
+     * but not past the measure's end: the measured region still ends
+     * spec.measure after it began.
      */
     std::function<void(ExperimentStep, Testbed &, Policy &)> on_step{};
 };

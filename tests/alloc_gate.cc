@@ -4,10 +4,10 @@
  * runExperiment() and, from its step hook, counts global operator new
  * calls over policy->prepare() and over the measure phase
  * (beforeMeasure through endMeasurement). Both counts must equal the
- * constants committed below. The simulator is deterministic, so the counts repeat exactly
- * from run to run, from -O0 to -O3 and under ASan + UBSan (GCC 12.2's
- * libstdc++); any allocation added to or removed from those paths
- * changes them.
+ * constants committed below. The simulator is deterministic, so the
+ * counts repeat exactly from run to run, from -O0 to -O3 and under
+ * ASan + UBSan (GCC 12.2's libstdc++); any allocation added to or
+ * removed from those paths changes them.
  *
  * Changing a constant is a reviewed edit: take the "got" number from
  * the failure message and give the reason for the change in
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 
 #include "simbench/alloc_count.h"
@@ -55,6 +56,9 @@ expectAllocs(ExperimentSpec spec, std::uint64_t prepare,
              std::uint64_t measure,
              const std::function<void(Testbed &)> &inspect = {})
 {
+    // runExperiment turns every obs sink on under FLEETIO_TRACE=1,
+    // which would change the counts.
+    ::unsetenv("FLEETIO_TRACE");
     std::uint64_t warmed = 0;
     std::uint64_t prepared = 0;
     std::uint64_t measured = 0;
