@@ -142,9 +142,7 @@ runExperiment(const ExperimentSpec &spec)
         opts.obs = {.trace = true, .metrics = true, .attribution = true,
                     .drift = true};
 
-    // Room for all six phases, so that no step's heap-allocation count
-    // includes the profiler's own.
-    obs::PhaseProfiler prof(6);
+    obs::PhaseProfiler prof;
     prof.begin("calibrate");
 
     // 1. Per-tenant SLOs: the spec's, or hardware-isolated calibration.
