@@ -383,7 +383,9 @@ BenchReport::compareToBaseline(const std::string &path,
         if (r.baseline > 0) {
             const double pct =
                 100.0 * (r.current - r.baseline) / r.baseline;
-            delta = (pct >= 0 ? "+" : "") + fmtDouble(pct, 1) + "%";
+            delta = pct >= 0 ? "+" : "";
+            delta += fmtDouble(pct, 1);
+            delta += '%';
             if (pct < -threshold) {
                 regressed = true;
                 worst = std::string(r.name) + " " + delta;

@@ -5,6 +5,17 @@
 
 namespace fleetio::obs {
 
+std::string
+tenantMetric(VssdId id, const char *suffix)
+{
+    // Not "t" + std::to_string(id) + ...: GCC 12 -O3 warns -Wrestrict.
+    std::string name = "t";
+    name += std::to_string(id);
+    name += '.';
+    name += suffix;
+    return name;
+}
+
 ObsHub::ObsHub(const ObsSinks &sinks, std::size_t channels,
                std::size_t chips, SimTime window)
     : window_len_(window)
@@ -145,7 +156,7 @@ ObsHub::rollAttribution(SimTime now,
     // Each tenant with traffic: 0, or 1 + the cause of this window's
     // verdict (a verdict needs traffic, so its gauge was just reset).
     const auto cause = [this](VssdId id) -> Gauge & {
-        return metrics_->gauge("t" + std::to_string(id) + ".slo_cause");
+        return metrics_->gauge(tenantMetric(id, "slo_cause"));
     };
     for (VssdId id = 0; id < attr_->numTenants(); ++id) {
         if (attr_->requests(id) > 0)
@@ -176,11 +187,11 @@ ObsHub::ioComplete(SimTime now, VssdId v, std::uint64_t req_id,
             tenant_metrics_.resize(v + 1);
         TenantMetrics &tm = tenant_metrics_[v];
         if (tm.latency == nullptr) {
-            const std::string prefix = "t" + std::to_string(v) + ".";
-            tm.latency = &metrics_->histogram(prefix + "latency_ns");
-            tm.read_bytes = &metrics_->counter(prefix + "bytes_read");
-            tm.write_bytes = &metrics_->counter(prefix + "bytes_written");
-            tm.requests = &metrics_->counter(prefix + "requests");
+            tm.latency = &metrics_->histogram(tenantMetric(v, "latency_ns"));
+            tm.read_bytes = &metrics_->counter(tenantMetric(v, "bytes_read"));
+            tm.write_bytes =
+                &metrics_->counter(tenantMetric(v, "bytes_written"));
+            tm.requests = &metrics_->counter(tenantMetric(v, "requests"));
         }
         tm.latency->record(latency);
         (type == IoType::kRead ? tm.read_bytes : tm.write_bytes)
@@ -220,9 +231,8 @@ ObsHub::decisionWindow(std::uint64_t window)
     if (metrics_ != nullptr) {
         for (VssdId id : decided_) {
             const DriftMonitor::Score s = drift_->latest(id);
-            const std::string base = "t" + std::to_string(id);
-            metrics_->gauge(base + ".drift_psi").set(s.psi);
-            metrics_->gauge(base + ".drift_kl").set(s.kl);
+            metrics_->gauge(tenantMetric(id, "drift_psi")).set(s.psi);
+            metrics_->gauge(tenantMetric(id, "drift_kl")).set(s.kl);
         }
     }
     decided_.clear();

@@ -46,6 +46,9 @@ struct TenantSample
     int tier = 0;             ///< effective QoS tier (> 0 = degraded)
 };
 
+/** The metric name "t<id>.<suffix>" of tenant @p id. */
+std::string tenantMetric(VssdId id, const char *suffix);
+
 class ObsHub
 {
   public:
@@ -244,7 +247,7 @@ class ObsHub
             counter(now, tenantTrack(v), CounterKind::kReward, reward);
         }
         if (metrics_ != nullptr)
-            metrics_->gauge("t" + std::to_string(v) + ".reward").set(reward);
+            metrics_->gauge(tenantMetric(v, "reward")).set(reward);
     }
 
     void agentDecide(SimTime now, VssdId v, std::uint64_t action_code)

@@ -307,17 +307,19 @@ TEST(MetricsPipeline, AggregatesMatchTenantStatistics)
     ASSERT_NE(reg, nullptr);
 
     for (auto *v : tb.vssds().active()) {
-        const std::string p = "t" + std::to_string(v->id()) + ".";
+        const auto name = [v](const char *suffix) {
+            return obs::tenantMetric(v->id(), suffix);
+        };
         // Completed requests: the metrics counter and the tenant's
         // latency tracker observe the same completions since
         // beginMeasurement.
-        EXPECT_EQ(reg->counterSinceBaseline(p + "requests"),
+        EXPECT_EQ(reg->counterSinceBaseline(name("requests")),
                   v->latency().totalCount())
             << "tenant " << int(v->id());
         // Bytes moved: counters vs the bandwidth meter (reset at
         // beginMeasurement, so lifetime totals cover the same region).
-        EXPECT_EQ(reg->counterSinceBaseline(p + "bytes_read") +
-                      reg->counterSinceBaseline(p + "bytes_written"),
+        EXPECT_EQ(reg->counterSinceBaseline(name("bytes_read")) +
+                      reg->counterSinceBaseline(name("bytes_written")),
                   v->bandwidth().totalBytes())
             << "tenant " << int(v->id());
         // Latency distribution: every completion is in exactly one
@@ -325,7 +327,7 @@ TEST(MetricsPipeline, AggregatesMatchTenantStatistics)
         std::uint64_t latency_samples = 0;
         for (const WindowSnapshot &w : reg->windows()) {
             for (const obs::MetricSample &s : w.samples) {
-                if (s.metric == p + "latency_ns")
+                if (s.metric == name("latency_ns"))
                     latency_samples += s.count;
             }
         }

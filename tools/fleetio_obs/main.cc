@@ -88,8 +88,11 @@ cmdMatrix(const JsonValue &root)
     std::printf("interference ledger: blame_ns[victim][culprit] "
                 "(row sum == victim's attributed wait time)\n");
     std::printf("%-10s", "victim\\by");
-    for (std::size_t c = 0; c < blame.size(); ++c)
-        std::printf(" %11s", ("t" + std::to_string(c)).c_str());
+    for (std::size_t c = 0; c < blame.size(); ++c) {
+        std::string name = "t";
+        name += std::to_string(c);
+        std::printf(" %11s", name.c_str());
+    }
     std::printf("  %12s\n", "row_total");
     std::vector<double> col(blame.size(), 0.0);
     for (std::size_t v = 0; v < blame.size(); ++v) {
