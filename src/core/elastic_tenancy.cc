@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "src/core/admission_control.h"
 #include "src/core/fleetio_controller.h"
@@ -37,7 +38,8 @@ ElasticTenancyManager::ElasticTenancyManager(
       ledger_(vssds.device().geometry()),
       admission_(cfg.admission)
 {
-    assert(cfg_.validate().empty());
+    if (const std::string err = cfg_.validate(); !err.empty())
+        throw std::invalid_argument("ElasticTenancyConfig: " + err);
 }
 
 void

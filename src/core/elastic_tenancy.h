@@ -111,6 +111,7 @@ class ElasticTenancyManager
      *  (stop generating I/O) at the start of the drain phase. */
     using RetireFn = std::function<void(VssdId)>;
 
+    /** @throws std::invalid_argument when @p cfg fails validate(). */
     ElasticTenancyManager(const ElasticTenancyConfig &cfg, EventQueue &eq,
                           VssdManager &vssds, GsbManager &gsb,
                           IoScheduler &sched);

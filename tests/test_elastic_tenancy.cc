@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "src/check/audit.h"
@@ -140,6 +141,22 @@ TEST(ElasticTenancy, StaticOutputUnaffectedByElasticConfig)
     const Digest a = runChurn(plain, sec(1));
     const Digest b = runChurn(tweaked, sec(1));
     EXPECT_TRUE(a == b);
+}
+
+TEST(ElasticTenancy, ChurnTestbedRejectsAnInvalidConfig)
+{
+    // Checked in every build type, not only where assert is compiled in.
+    TestbedOptions unordered = churnOptions();
+    unordered.churn.elastic.degrade_slo_1 = 0.6;  // above degrade_slo_2
+    EXPECT_THROW(Testbed tb(unordered), std::invalid_argument);
+
+    TestbedOptions no_recovery = churnOptions();
+    no_recovery.churn.elastic.recover_evals = 0;
+    EXPECT_THROW(Testbed tb(no_recovery), std::invalid_argument);
+
+    TestbedOptions bad_admission = churnOptions();
+    bad_admission.churn.elastic.admission.max_retries = -1;
+    EXPECT_THROW(Testbed tb(bad_admission), std::invalid_argument);
 }
 
 TEST(ElasticTenancy, ChurnRunsAreBitIdenticalAcrossRunsAndJobs)
