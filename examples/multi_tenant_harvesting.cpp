@@ -36,8 +36,8 @@ main()
     cfg.decision_window = opts.window;
     cfg.teacher_windows = 300;  // bootstrap phase (see DESIGN.md)
     FleetIoController ctrl(cfg, tb.eq(), tb.vssds(), tb.gsb());
-    ctrl.addVssd(web, cfg.alpha_lc1);   // latency-sensitive
-    ctrl.addVssd(sort, cfg.alpha_bi);   // bandwidth-intensive
+    ctrl.addVssd(web, kAlphaLc1);   // latency-sensitive
+    ctrl.addVssd(sort, kAlphaBi);   // bandwidth-intensive
     ctrl.start();
 
     tb.warmupFill();

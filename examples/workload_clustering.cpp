@@ -73,12 +73,11 @@ main()
 
     // 3. Classify a workload the classifier has not seen (PageRank) —
     //    it should land in the BI cluster by I/O pattern alone.
-    FleetIoConfig cfg;
     const auto pr = traceWindows(WorkloadKind::kPageRank);
     if (!pr.empty()) {
         const auto assign = wc.classify(pr.front().toVector());
         std::cout << "PageRank window -> cluster " << assign.cluster
-                  << " -> alpha " << cfg.alphaForCluster(assign.cluster)
+                  << " -> alpha " << alphaForCluster(assign.cluster)
                   << "\n";
     }
 
@@ -88,6 +87,6 @@ main()
     const auto assign = wc.classify(alien);
     std::cout << "alien workload -> cluster " << assign.cluster
               << " (unknown) -> unified alpha "
-              << cfg.alphaForCluster(assign.cluster) << "\n";
+              << alphaForCluster(assign.cluster) << "\n";
     return 0;
 }

@@ -9,15 +9,15 @@ AlphaTuner::tune(const EvalFn &eval, const Config &cfg)
     double hi = cfg.hi;
 
     // Early exits at the interval ends.
-    if (eval(lo).slo_violation <= cfg.violation_threshold)
+    if (eval(lo).slo_violation <= kViolationThreshold)
         return lo;
-    if (eval(hi).slo_violation > cfg.violation_threshold)
+    if (eval(hi).slo_violation > kViolationThreshold)
         return hi;
 
     for (int i = 0; i < cfg.iterations; ++i) {
         const double mid = 0.5 * (lo + hi);
         const AlphaOutcome out = eval(mid);
-        if (out.slo_violation <= cfg.violation_threshold)
+        if (out.slo_violation <= kViolationThreshold)
             hi = mid;  // admissible: try smaller alpha (more bandwidth)
         else
             lo = mid;

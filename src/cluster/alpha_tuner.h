@@ -2,8 +2,8 @@
  * @file
  * Per-workload-type reward tuning (paper §3.4): binary-search the
  * reward coefficient alpha in [0, 1] for the smallest value whose SLO
- * violation rate stays under the threshold (5 % by default) while
- * maximizing delivered bandwidth.
+ * violation rate stays at or under 5 % while maximizing delivered
+ * bandwidth.
  */
 #pragma once
 
@@ -28,10 +28,12 @@ class AlphaTuner
   public:
     using EvalFn = std::function<AlphaOutcome(double alpha)>;
 
+    /** Highest admissible SLO-violation fraction (5 %, paper default). */
+    static constexpr double kViolationThreshold = 0.05;
+
     struct Config
     {
-        double violation_threshold = 0.05;  ///< 5 % (paper default)
-        int iterations = 8;                 ///< binary-search depth
+        int iterations = 8;  ///< binary-search depth
         double lo = 0.0;
         double hi = 1.0;
     };

@@ -7,6 +7,12 @@
 
 namespace fleetio {
 
+namespace {
+/** A window farther than this many cluster radii from its nearest
+ *  centroid is classified as unknown (-1). */
+constexpr double kUnknownFactor = 3.0;
+}  // namespace
+
 WorkloadClassifier::WorkloadClassifier() : cfg_() {}
 
 WorkloadClassifier::WorkloadClassifier(const Config &cfg) : cfg_(cfg) {}
@@ -114,7 +120,7 @@ WorkloadClassifier::classify(const rl::Vector &features) const
         std::sqrt(KMeans::dist2(x, centroids_[std::size_t(c)]));
     out.distance = d;
     out.cluster =
-        d <= cfg_.unknown_factor * radii_[std::size_t(c)] ? c : -1;
+        d <= kUnknownFactor * radii_[std::size_t(c)] ? c : -1;
     return out;
 }
 

@@ -35,7 +35,6 @@ class WorkloadClassifier
     struct Config
     {
         int k = 3;                  ///< LC-1, LC-2, BI in the paper
-        double unknown_factor = 3.0;  ///< radius multiplier for "unknown"
         std::uint64_t seed = 7;
     };
 

@@ -5,15 +5,21 @@
 
 namespace fleetio {
 
+namespace {
+/** Hidden layer sizes of each agent's network (Table 3: [50, 50]).
+ *  Built once at load, so building an agent allocates nothing for it. */
+const std::vector<std::size_t> kHiddenSizes = {50, 50};
+}  // namespace
+
 FleetIoAgent::FleetIoAgent(VssdId vssd, const FleetIoConfig &cfg,
                            std::uint64_t seed)
     : vssd_(vssd),
       cfg_(cfg),
       mapper_(cfg),
-      net_(cfg.stateDim(), mapper_.spec(), cfg.hidden_sizes, seed),
+      net_(cfg.stateDim(), mapper_.spec(), kHiddenSizes, seed),
       trainer_(net_, cfg.ppo),
       rng_(seed ^ 0xA5A5A5A5A5A5A5A5ull),
-      alpha_(cfg.unified_alpha)
+      alpha_(kUnifiedAlpha)
 {
 }
 

@@ -5,6 +5,12 @@
 
 namespace fleetio {
 
+namespace {
+/** Window SLO-violation fraction at or above which a window counts
+ *  toward SupervisorConfig::slo_streak_windows. */
+constexpr double kSloVioTrip = 0.95;
+}  // namespace
+
 AgentSupervisor::AgentSupervisor(const SupervisorConfig &cfg,
                                  GsbManager &gsb)
     : cfg_(cfg), gsb_(gsb)
@@ -76,7 +82,7 @@ AgentSupervisor::preDecideCheck(const Entry &e, double reward) const
 {
     // Reward divergence: a blown-up or non-finite blended reward means
     // either the reward pipeline or the value targets are poisoned.
-    if (!std::isfinite(reward) || std::abs(reward) > cfg_.reward_limit)
+    if (!std::isfinite(reward) || std::abs(reward) > kRewardLimit)
         return TripReason::kRewardDivergence;
 
     // Non-finite parameters: one NaN weight is terminal for the whole
@@ -179,7 +185,7 @@ AgentSupervisor::decide(VssdId id, const rl::Vector &state, double reward,
     // Consecutive-SLO-violation streak: a policy that pins its tenant
     // at near-total violation for this long is doing worse than the
     // deterministic fallback would.
-    if (window_slo_vio >= cfg_.slo_vio_trip)
+    if (window_slo_vio >= kSloVioTrip)
         ++e->slo_streak;
     else
         e->slo_streak = 0;

@@ -73,6 +73,10 @@ class AgentSupervisor
         kCrashRecovery,  ///< probation imposed after power loss
     };
 
+    /** |blended reward| above this trips the reward-divergence check
+     *  (healthy Eq. 1/Eq. 2 rewards live in single digits). */
+    static constexpr double kRewardLimit = 1e3;
+
     AgentSupervisor(const SupervisorConfig &cfg, GsbManager &gsb);
 
     /**

@@ -14,6 +14,21 @@
 
 namespace fleetio {
 
+/** Unified reward alpha for unclassified workloads (§3.4). */
+inline constexpr double kUnifiedAlpha = 0.01;
+
+/** Fine-tuned reward alphas per cluster (§3.8): LC-1, LC-2, BI. */
+inline constexpr double kAlphaLc1 = 2.5e-2;
+inline constexpr double kAlphaLc2 = 5e-3;
+inline constexpr double kAlphaBi = 0.0;
+
+/** Guaranteed SLO-violation budget (Eq. 1 denominator; §3.3.3: 1 %). */
+inline constexpr double kSloVioGuar = 0.01;
+
+/** Pick the fine-tuned alpha for a learned cluster id (0..2), or the
+ *  unified alpha for unknown (-1). */
+double alphaForCluster(int cluster);
+
 /**
  * Tunables of the per-agent watchdog (see src/core/agent_supervisor.h
  * and DESIGN.md §8). Defaults are deliberately conservative: a healthy
@@ -25,18 +40,13 @@ struct SupervisorConfig
     /** Master switch; disabled reproduces the pre-supervision loop. */
     bool enabled = true;
 
-    /** |blended reward| above this trips the reward-divergence check
-     *  (healthy Eq. 1/Eq. 2 rewards live in single digits). */
-    double reward_limit = 1e3;
-
     /** Policy entropy (nats, summed over heads) below this for
      *  entropy_windows consecutive windows trips entropy collapse. */
     double entropy_floor = 0.01;
     int entropy_windows = 8;
 
-    /** Window SLO-violation fraction at/above this for
-     *  slo_streak_windows consecutive windows trips the SLO check. */
-    double slo_vio_trip = 0.95;
+    /** Consecutive windows with an SLO-violation fraction at or above
+     *  the 95 % trip level that trip the SLO check. */
     int slo_streak_windows = 40;
 
     /** Decision windows a quarantined agent runs the deterministic
@@ -66,17 +76,6 @@ struct FleetIoConfig
     /** Multi-agent reward blend (Eq. 2; Table 3: 0.6). */
     double beta = 0.6;
 
-    /** Unified reward alpha for unclassified workloads (§3.4). */
-    double unified_alpha = 0.01;
-
-    /** Guaranteed SLO-violation budget (Eq. 1 denominator; §3.3.3: 1 %). */
-    double slo_vio_guar = 0.01;
-
-    /** Fine-tuned alphas per cluster (§3.8): LC-1, LC-2, BI. */
-    double alpha_lc1 = 2.5e-2;
-    double alpha_lc2 = 5e-3;
-    double alpha_bi = 0.0;
-
     /**
      * Discrete bandwidth levels (MB/s) for the Harvest and
      * Make_Harvestable heads. Defaults cover 0-8 channels of 64 MB/s
@@ -88,9 +87,6 @@ struct FleetIoConfig
     /** Admission-control batching interval (§3.5: 50 ms). */
     SimTime admission_batch = msec(50);
 
-    /** Fine-tune (PPO update) cadence in decision windows (§4.7: 10). */
-    int train_interval_windows = 10;
-
     /**
      * Bootstrap phase: for the first N decision windows the controller
      * executes the heuristic teacher (§3.3.2's action guidance) and
@@ -99,9 +95,6 @@ struct FleetIoConfig
      * before switching to on-policy PPO fine-tuning.
      */
     int teacher_windows = 0;
-
-    /** Hidden layer sizes (Table 3: [50, 50]). */
-    std::vector<std::size_t> hidden_sizes = {50, 50};
 
     /** PPO hyper-parameters (Table 3: lr 1e-4, gamma 0.9, batch 32). */
     rl::PpoTrainer::Config ppo{};
@@ -118,16 +111,12 @@ struct FleetIoConfig
         return kStatesPerWindow * std::size_t(state_stack);
     }
 
-    /** Pick the fine-tuned alpha for a learned cluster id (0..2),
-     *  or the unified alpha for unknown (-1). */
-    double alphaForCluster(int cluster) const;
-
     /**
      * Sanity-check the configuration. @return an empty string when
      * valid, otherwise a description of the first problem found. The
      * controller calls this at setup and refuses to run on a bad
-     * config (a zero slo_vio_guar, say, would silently divide the
-     * reward by zero and feed NaN into PPO).
+     * config (an empty bandwidth-level list, say, would leave an
+     * action head with no choices).
      */
     std::string validate() const;
 };

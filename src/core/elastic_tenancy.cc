@@ -9,19 +9,27 @@
 
 namespace fleetio {
 
+namespace {
+/** Poll cadence of the retirement drain phase. */
+constexpr SimTime kDrainPoll = msec(1);
+
+/** Poll cadence of the retirement scrub phase (each poll re-asserts
+ *  the tenant's GC reclaim request — see GcEngine's reclaim-request
+ *  reset on HBT exhaustion). */
+constexpr SimTime kScrubPoll = msec(5);
+
+/** Device free-block ratio below which capacity pressure demands
+ *  level 1 (level 2 at half of it, level 3 at a quarter). */
+constexpr double kDegradeFreeRatio = 0.10;
+}  // namespace
+
 std::string
 ElasticTenancyConfig::validate() const
 {
     if (const std::string err = admission.validate(); !err.empty())
         return err;
-    if (drain_poll <= 0)
-        return "elastic.drain_poll must be positive";
-    if (scrub_poll <= 0)
-        return "elastic.scrub_poll must be positive";
     if (!(degrade_slo_1 <= degrade_slo_2 && degrade_slo_2 <= degrade_slo_3))
         return "elastic.degrade_slo thresholds must be non-decreasing";
-    if (degrade_free_ratio < 0.0 || degrade_free_ratio > 1.0)
-        return "elastic.degrade_free_ratio must be in [0, 1]";
     if (recover_evals < 1)
         return "elastic.recover_evals must be at least 1";
     return {};
@@ -184,7 +192,7 @@ ElasticTenancyManager::pollDrain(VssdId id)
         teardown(id);
         return;
     }
-    eq_.scheduleAfter(cfg_.drain_poll, [this, id]() { pollDrain(id); });
+    eq_.scheduleAfter(kDrainPoll, [this, id]() { pollDrain(id); });
 }
 
 void
@@ -257,7 +265,7 @@ ElasticTenancyManager::pollScrub(VssdId id)
     // trimmed blocks remain, so re-assert it on every poll — this is
     // what pushes a retired tenant's quota all the way to zero.
     v->gc().requestReclaim();
-    eq_.scheduleAfter(cfg_.scrub_poll, [this, id]() { pollScrub(id); });
+    eq_.scheduleAfter(kScrubPoll, [this, id]() { pollScrub(id); });
 }
 
 void
@@ -303,16 +311,16 @@ ElasticTenancyManager::targetLevel(double mean_slo,
 {
     int level = 0;
     if (mean_slo >= cfg_.degrade_slo_1 ||
-        free_ratio < cfg_.degrade_free_ratio ||
+        free_ratio < kDegradeFreeRatio ||
         (queued_ > 0 && ledger_.freeChannels() == 0)) {
         level = 1;
     }
     if (mean_slo >= cfg_.degrade_slo_2 ||
-        free_ratio < cfg_.degrade_free_ratio * 0.5) {
+        free_ratio < kDegradeFreeRatio * 0.5) {
         level = 2;
     }
     if (mean_slo >= cfg_.degrade_slo_3 ||
-        free_ratio < cfg_.degrade_free_ratio * 0.25) {
+        free_ratio < kDegradeFreeRatio * 0.25) {
         level = 3;
     }
     return level;

@@ -42,18 +42,10 @@ namespace fleetio {
 
 class FleetIoController;
 
-/** Knobs of the elastic layer (admission + retirement + degradation). */
+/** Knobs of the elastic layer (admission + degradation). */
 struct ElasticTenancyConfig
 {
     TenantAdmissionConfig admission{};
-
-    /** Poll cadence of the retirement drain phase. */
-    SimTime drain_poll = msec(1);
-
-    /** Poll cadence of the retirement scrub phase (each poll re-asserts
-     *  the tenant's GC reclaim request — see GcEngine's
-     *  reclaim-request reset on HBT exhaustion). */
-    SimTime scrub_poll = msec(5);
 
     /** Cadence of the pressure/degradation evaluation loop. Benches
      *  set this to the decision window. 0 disables the loop. */
@@ -64,10 +56,6 @@ struct ElasticTenancyConfig
     double degrade_slo_1 = 0.25;
     double degrade_slo_2 = 0.50;
     double degrade_slo_3 = 0.75;
-
-    /** Device free-block ratio below which capacity pressure demands
-     *  level 1 (level 2 at half of it, level 3 at a quarter). */
-    double degrade_free_ratio = 0.10;
 
     /** Consecutive calm evaluations before stepping one level back up
      *  (hysteresis: recovery is slower than degradation). */

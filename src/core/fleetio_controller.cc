@@ -12,6 +12,9 @@ namespace fleetio {
 
 namespace {
 
+/** Fine-tune (PPO update) cadence in decision windows (§4.7: 10). */
+constexpr int kTrainIntervalWindows = 10;
+
 /** Compact trace code for an action: low 2 bits = priority level,
  *  bit 2 = harvesting, bit 3 = donating. */
 std::uint64_t
@@ -282,7 +285,7 @@ FleetIoController::tick()
         single[i] = singleReward(
             v.bandwidth().windowMBps(win),
             v.guaranteedBandwidthMBps(vssds_.device().geometry()),
-            vio[i], cfg_.slo_vio_guar, managed_[i].agent->alpha());
+            vio[i], kSloVioGuar, managed_[i].agent->alpha());
     }
 
     // 2. Multi-agent blended rewards (Eq. 2).
@@ -310,7 +313,7 @@ FleetIoController::tick()
             if (auto f = feature_provider_(m.vssd->id())) {
                 const auto assign =
                     classifier_->classify(f->toVector());
-                agent.setAlpha(cfg_.alphaForCluster(assign.cluster));
+                agent.setAlpha(alphaForCluster(assign.cluster));
             }
         }
 
@@ -363,9 +366,8 @@ FleetIoController::tick()
         m.vssd->gc().maybeStart();
     }
 
-    // 5. Periodic fine-tuning (every train_interval_windows).
-    if (cfg_.train_interval_windows > 0 &&
-        windows_ % std::uint64_t(cfg_.train_interval_windows) == 0) {
+    // 5. Periodic fine-tuning (every kTrainIntervalWindows).
+    if (windows_ % std::uint64_t(kTrainIntervalWindows) == 0) {
         for (auto &m : managed_) {
             m.agent->train(extractor_.stacked(m.vssd->id()));
         }

@@ -5,10 +5,25 @@
 
 namespace fleetio {
 
+namespace {
+/** Queue depth (pages) that signals unmet bandwidth demand. */
+constexpr double kHarvestQueueThreshold = 24.0;
+
+/** Pages of queue depth per additional harvested channel. */
+constexpr double kPagesPerChannel = 24.0;
+
+/** Donate only when the window SLO-violation rate is below this. */
+constexpr double kDonateVioCeiling = 0.05;
+
+/** Keep this fraction of the guaranteed bandwidth as headroom when
+ *  donating. */
+constexpr double kDonateMargin = 0.25;
+}  // namespace
+
 AgentAction
 teacherAction(const Vssd &vssd, const GsbManager &gsb,
               const SsdGeometry &geo, SimTime window,
-              const FleetIoConfig &cfg, const TeacherConfig &tcfg)
+              const FleetIoConfig &cfg)
 {
     AgentAction a;
     const double chan_bw = geo.channelBandwidthMBps();
@@ -22,9 +37,9 @@ teacherAction(const Vssd &vssd, const GsbManager &gsb,
 
     // --- Harvest(gsb_bw): grab bandwidth when the queue backs up. ---
     std::uint32_t harvest_chls = 0;
-    if (qdepth > tcfg.harvest_queue_threshold) {
+    if (qdepth > kHarvestQueueThreshold) {
         harvest_chls = std::uint32_t(
-            std::ceil(qdepth / tcfg.pages_per_channel));
+            std::ceil(qdepth / kPagesPerChannel));
     } else if (held > 0 && used_bw > 0.6 * guar_bw) {
         // Demand persists: keep what we hold.
         harvest_chls = held;
@@ -34,9 +49,9 @@ teacherAction(const Vssd &vssd, const GsbManager &gsb,
 
     // --- Make_Harvestable(gsb_bw): donate idle bandwidth. ---
     std::uint32_t donate_chls = 0;
-    if (vio <= tcfg.donate_vio_ceiling && harvest_chls == 0) {
+    if (vio <= kDonateVioCeiling && harvest_chls == 0) {
         const double idle_bw =
-            guar_bw * (1.0 - tcfg.donate_margin) - used_bw;
+            guar_bw * (1.0 - kDonateMargin) - used_bw;
         if (idle_bw > chan_bw)
             donate_chls = std::uint32_t(idle_bw / chan_bw);
         // "If a vSSD runs GC frequently, reduce its harvestable
@@ -51,7 +66,7 @@ teacherAction(const Vssd &vssd, const GsbManager &gsb,
     if (harvest_chls > 0 || held > 0) {
         // Polite guest: harvested traffic yields to the home tenant.
         a.priority = Priority::kLow;
-    } else if (vio > cfg.slo_vio_guar || qdepth > 16.0) {
+    } else if (vio > kSloVioGuar || qdepth > 16.0) {
         a.priority = Priority::kHigh;
     } else {
         a.priority = Priority::kMedium;

@@ -18,30 +18,12 @@
 
 namespace fleetio {
 
-/** Tunables of the teacher rules. */
-struct TeacherConfig
-{
-    /** Queue depth (pages) that signals unmet bandwidth demand. */
-    double harvest_queue_threshold = 24.0;
-
-    /** Pages of queue depth per additional harvested channel. */
-    double pages_per_channel = 24.0;
-
-    /** Donate only when the window SLO-violation rate is below this. */
-    double donate_vio_ceiling = 0.05;
-
-    /** Keep this fraction of the guaranteed bandwidth as headroom
-     *  when donating. */
-    double donate_margin = 0.25;
-};
-
 /**
  * Compute the teacher's action for @p vssd given the current window
  * statistics (call before rolling the window).
  */
 AgentAction teacherAction(const Vssd &vssd, const GsbManager &gsb,
                           const SsdGeometry &geo, SimTime window,
-                          const FleetIoConfig &cfg,
-                          const TeacherConfig &tcfg = TeacherConfig{});
+                          const FleetIoConfig &cfg);
 
 }  // namespace fleetio

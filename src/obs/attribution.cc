@@ -16,6 +16,10 @@ namespace {
 
 constexpr std::size_t kIdx(Stage s) { return std::size_t(s); }
 
+/** A violating window whose read-retry share of the wait reaches this
+ *  is blamed on fault retries. */
+constexpr double kRetryShareThreshold = 0.25;
+
 }  // namespace
 
 const char *
@@ -380,11 +384,8 @@ AttributionHub::rollWindow(SimTime /*now*/, std::uint64_t window,
 {
     for (VssdId id = 0; id < tenants_.size(); ++id) {
         Tenant &t = tenants_[id];
-        const bool violating =
-            t.window_requests > 0 && t.window_violations > 0 &&
-            double(t.window_violations) / double(t.window_requests) >
-                cfg_.violation_threshold;
-        if (violating) {
+        // Violations are counted with their requests: requests > 0 here.
+        if (t.window_violations > 0) {
             SimTime total = 0;
             for (std::uint64_t v : t.window)
                 total += v;
@@ -417,7 +418,7 @@ AttributionHub::rollWindow(SimTime /*now*/, std::uint64_t window,
                 0.0, 1.0 - v.neighbor_share - v.self_gc_share);
             if (id < tiers.size() && tiers[id] > 0) {
                 v.cause = VerdictCause::kDegradationTier;
-            } else if (v.retry_share >= cfg_.retry_share_threshold) {
+            } else if (v.retry_share >= kRetryShareThreshold) {
                 v.cause = VerdictCause::kFaultRetry;
             } else if (v.neighbor_share >= v.self_gc_share &&
                        v.neighbor_share >= self_load) {

@@ -138,8 +138,6 @@ class AttributionHub
         std::size_t chips = 0;             ///< total chip ledger count
         std::size_t top_k = 16;            ///< slow-request table size
         std::size_t segment_ring = 64;     ///< occupancy segments kept
-        double violation_threshold = 0.0;  ///< min violating fraction
-        double retry_share_threshold = 0.25;
     };
 
     explicit AttributionHub(const Config &cfg);

@@ -43,8 +43,8 @@ DriftMonitor::rollWindow()
             a.baseline_total += total;
         } else if (total > 0 && a.baseline_total > 0) {
             // Epsilon-smoothed shares: every bin of both distributions
-            // gets cfg_.epsilon pseudo-counts, so log terms are finite.
-            const double eps = cfg_.epsilon;
+            // gets kEpsilon pseudo-counts, so log terms are finite.
+            const double eps = kEpsilon;
             const double bden = double(a.baseline_total) + eps * kBins;
             const double wden = double(total) + eps * kBins;
             double psi = 0.0;

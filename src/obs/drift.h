@@ -30,6 +30,9 @@ class DriftMonitor
     /** Action codes are folded into this many histogram bins. */
     static constexpr std::size_t kBins = 16;
 
+    /** Smoothing mass added to every bin of both distributions. */
+    static constexpr double kEpsilon = 0.5;
+
     struct Config
     {
         /** Windows pooled into the reference distribution. */
@@ -38,9 +41,6 @@ class DriftMonitor
         /** PSI above this flags the window. 0.25 is the conventional
          *  "significant shift" threshold. */
         double psi_threshold = 0.25;
-
-        /** Smoothing mass added to every bin of both distributions. */
-        double epsilon = 0.5;
     };
 
     /** One scored (post-baseline) window for one agent. */

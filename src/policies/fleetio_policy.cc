@@ -110,7 +110,7 @@ FleetIoPolicy::setup(Testbed &tb,
         const WorkloadKind kind = tb.tenantKind(v->id());
         const double alpha = variant_.customized_alpha
                                  ? alphaForKind(kind)
-                                 : cfg.unified_alpha;
+                                 : kUnifiedAlpha;
         controller_->addVssd(*v, alpha);
     }
     controller_->setTraining(true);
@@ -123,12 +123,11 @@ FleetIoPolicy::setup(Testbed &tb,
         // arrivals get an agent bootstrapped mid-run from the teacher
         // (FleetIoConfig::teacher_windows).
         tb.elastic()->attachController(controller_.get());
-        const double unified = cfg.unified_alpha;
-        tb.setOnTenantAdded([this, &tb, unified](Vssd &v) {
+        tb.setOnTenantAdded([this, &tb](Vssd &v) {
             const WorkloadKind kind = tb.tenantKind(v.id());
             const double alpha = variant_.customized_alpha
                                      ? alphaForKind(kind)
-                                     : unified;
+                                     : kUnifiedAlpha;
             controller_->addVssd(v, alpha);
         });
     }

@@ -36,12 +36,11 @@ Policy::equalQuota(const Testbed &tb, std::size_t n)
 double
 alphaForKind(WorkloadKind kind)
 {
-    FleetIoConfig defaults;
     if (isBandwidthIntensive(kind))
-        return defaults.alpha_bi;
+        return kAlphaBi;
     if (kind == WorkloadKind::kYcsbB)
-        return defaults.alpha_lc2;
-    return defaults.alpha_lc1;
+        return kAlphaLc2;
+    return kAlphaLc1;
 }
 
 std::unique_ptr<Policy>

@@ -6,6 +6,13 @@
 
 namespace fleetio::rl {
 
+namespace {
+/** Adam's default decay rates and guard (Kingma & Ba; not in Table 3). */
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+}  // namespace
+
 Adam::Adam(ParameterStore &store) : Adam(store, Config{}) {}
 
 Adam::Adam(ParameterStore &store, const Config &cfg)
@@ -51,20 +58,19 @@ Adam::step()
     }
 
     ++t_;
-    const double bc1 = 1.0 - std::pow(cfg_.beta1, double(t_));
-    const double bc2 = 1.0 - std::pow(cfg_.beta2, double(t_));
+    const double bc1 = 1.0 - std::pow(kBeta1, double(t_));
+    const double bc2 = 1.0 - std::pow(kBeta2, double(t_));
     // Parameters are independent, so two run side by side in lanes.
     auto update = [&]<typename T>(std::size_t i) {
         const T gi = load<T>(&g[i]);
-        const T mi = cfg_.beta1 * load<T>(&m_[i]) + (1.0 - cfg_.beta1) * gi;
-        const T vi =
-            cfg_.beta2 * load<T>(&v_[i]) + (1.0 - cfg_.beta2) * gi * gi;
+        const T mi = kBeta1 * load<T>(&m_[i]) + (1.0 - kBeta1) * gi;
+        const T vi = kBeta2 * load<T>(&v_[i]) + (1.0 - kBeta2) * gi * gi;
         const T m_hat = mi / bc1;
         const T v_hat = vi / bc2;
         store<T>(&m_[i], mi);
         store<T>(&v_[i], vi);
         store<T>(&p[i], load<T>(&p[i]) - cfg_.lr * m_hat /
-                                            (sqrtLanes(v_hat) + cfg_.eps));
+                                            (sqrtLanes(v_hat) + kEps));
     };
     std::size_t i = 0;
     for (; i + 2 <= p.size(); i += 2)

@@ -17,9 +17,6 @@ class Adam
     struct Config
     {
         double lr = 1e-4;       ///< paper Table 3 learning rate
-        double beta1 = 0.9;
-        double beta2 = 0.999;
-        double eps = 1e-8;
         double max_grad_norm = 0.5;  ///< global clip; <= 0 disables
     };
 

@@ -8,6 +8,11 @@
 
 namespace fleetio::rl {
 
+namespace {
+/** Weight of the value loss against the clipped surrogate. */
+constexpr double kVfCoef = 0.5;
+}  // namespace
+
 PpoTrainer::PpoTrainer(PolicyNetwork &net)
     : PpoTrainer(net, Config{})
 {
@@ -84,7 +89,7 @@ PpoTrainer::update(RolloutBuffer &rollout, double last_value)
                 mb.dlogp[k] = dlogp;
 
                 const double verr = ev.value - ret;
-                mb.dvalue[k] = cfg_.vf_coef * verr * inv_b;
+                mb.dvalue[k] = kVfCoef * verr * inv_b;
 
                 sum_pl += -std::min(surr1, surr2);
                 sum_vl += 0.5 * verr * verr;

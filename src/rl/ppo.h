@@ -27,7 +27,6 @@ class PpoTrainer
         double gamma = 0.9;
         double gae_lambda = 0.95;
         double clip = 0.2;
-        double vf_coef = 0.5;
         double ent_coef = 0.01;
         int epochs = 4;
         std::size_t minibatch = 32;

@@ -48,14 +48,9 @@ struct FaultConfig
 
     /** Probability (per chip operation) that the chip enters a
      *  slow-down window, e.g. internal calibration or read-disturb
-     *  refresh stealing the die. */
+     *  refresh stealing the die. A window lasts 5 ms and slows the
+     *  operations started in it 4x (FlashDevice, FlashChip). */
     double chip_slowdown_prob = 0.0;
-
-    /** Length of one slow-down window. */
-    SimTime chip_slowdown_window = msec(5);
-
-    /** Latency multiplier applied to operations started in a window. */
-    double chip_slowdown_factor = 4.0;
 
     /** True when any fault path can fire. */
     bool enabled() const
@@ -97,7 +92,6 @@ class FaultInjector
   public:
     explicit FaultInjector(const FaultConfig &cfg = FaultConfig{});
 
-    const FaultConfig &config() const { return cfg_; }
     bool enabled() const { return cfg_.enabled(); }
 
     /**

@@ -7,6 +7,12 @@
 
 namespace fleetio {
 
+namespace {
+/** Latency multiplier applied to operations started in a slow-down
+ *  window. */
+constexpr double kChipSlowdownFactor = 4.0;
+}  // namespace
+
 FlashChip::FlashChip(const SsdGeometry &geo)
     : geo_(geo),
       blocks_(geo.blocks_per_chip),
@@ -131,16 +137,15 @@ FlashChip::reserve(SimTime earliest, SimTime duration)
 {
     const SimTime start = std::max(earliest, busy_until_);
     if (start < slow_until_)
-        duration = SimTime(double(duration) * slow_factor_);
+        duration = SimTime(double(duration) * kChipSlowdownFactor);
     busy_until_ = start + duration;
     return busy_until_;
 }
 
 void
-FlashChip::beginSlowdown(SimTime until, double factor)
+FlashChip::beginSlowdown(SimTime until)
 {
     slow_until_ = std::max(slow_until_, until);
-    slow_factor_ = factor > 1.0 ? factor : 1.0;
 }
 
 void
@@ -152,7 +157,6 @@ FlashChip::crashResetValidBits()
     }
     busy_until_ = 0;
     slow_until_ = 0;
-    slow_factor_ = 1.0;
 }
 
 }  // namespace fleetio

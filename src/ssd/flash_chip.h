@@ -133,8 +133,8 @@ class FlashChip
     SimTime reserve(SimTime earliest, SimTime duration);
 
     /** Enter a slow-down window lasting until @p until; operations
-     *  started before then take @p factor times longer. */
-    void beginSlowdown(SimTime until, double factor);
+     *  started before then take 4x longer. */
+    void beginSlowdown(SimTime until);
 
     /** End of the current slow-down window (0 when never slowed). */
     SimTime slowUntil() const { return slow_until_; }
@@ -171,7 +171,6 @@ class FlashChip
     std::uint32_t free_blocks_;
     SimTime busy_until_ = 0;
     SimTime slow_until_ = 0;
-    double slow_factor_ = 1.0;
     std::uint64_t total_erases_ = 0;
     DurabilityModel *durability_ = nullptr;
     ChannelId ch_ = 0;

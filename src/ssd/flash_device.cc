@@ -4,6 +4,11 @@
 
 namespace fleetio {
 
+namespace {
+/** Length of one chip slow-down window (FaultConfig::chip_slowdown_prob). */
+constexpr SimTime kChipSlowdownWindow = msec(5);
+}  // namespace
+
 FlashDevice::FlashDevice(const SsdGeometry &geo, EventQueue &eq)
     : geo_(geo), eq_(eq), channels_(geo.num_channels)
 {
@@ -32,9 +37,7 @@ void
 FlashDevice::maybeSlowDown(FlashChip &chp)
 {
     if (injector_ != nullptr && injector_->chipSlowdownBegins()) {
-        const FaultConfig &fc = injector_->config();
-        chp.beginSlowdown(eq_.now() + fc.chip_slowdown_window,
-                          fc.chip_slowdown_factor);
+        chp.beginSlowdown(eq_.now() + kChipSlowdownWindow);
     }
 }
 

@@ -145,7 +145,7 @@ TEST(AllocGate, FleetIoWithChurn)
     el.admission.backoff_base = msec(100);
     el.admission.backoff_cap = msec(800);
     el.admission.max_retries = 8;
-    const ExperimentResult res = expectAllocs(spec, 492980, 25412);
+    const ExperimentResult res = expectAllocs(spec, 492980, 25409);
     EXPECT_EQ(res.churn.removals_completed, 1u);
     EXPECT_EQ(res.churn.admitted, 1u);
 }

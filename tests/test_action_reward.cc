@@ -121,11 +121,10 @@ TEST(Reward, BetaOneIsPurelyLocal)
 
 TEST(Config, AlphaForClusterMatchesPaperValues)
 {
-    FleetIoConfig cfg;
-    EXPECT_DOUBLE_EQ(cfg.alphaForCluster(0), 2.5e-2);  // LC-1
-    EXPECT_DOUBLE_EQ(cfg.alphaForCluster(1), 5e-3);    // LC-2
-    EXPECT_DOUBLE_EQ(cfg.alphaForCluster(2), 0.0);     // BI
-    EXPECT_DOUBLE_EQ(cfg.alphaForCluster(-1), 0.01);   // unified
+    EXPECT_DOUBLE_EQ(alphaForCluster(0), 2.5e-2);  // LC-1
+    EXPECT_DOUBLE_EQ(alphaForCluster(1), 5e-3);    // LC-2
+    EXPECT_DOUBLE_EQ(alphaForCluster(2), 0.0);     // BI
+    EXPECT_DOUBLE_EQ(alphaForCluster(-1), 0.01);   // unified
 }
 
 }  // namespace

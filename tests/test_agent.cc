@@ -79,7 +79,7 @@ TEST_F(AgentTest, TrainConsumesRollout)
 
 TEST_F(AgentTest, AlphaIsConfigurable)
 {
-    EXPECT_DOUBLE_EQ(agent_->alpha(), cfg_.unified_alpha);
+    EXPECT_DOUBLE_EQ(agent_->alpha(), kUnifiedAlpha);
     agent_->setAlpha(0.025);
     EXPECT_DOUBLE_EQ(agent_->alpha(), 0.025);
 }

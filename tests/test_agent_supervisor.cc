@@ -135,7 +135,7 @@ TEST_F(AgentSupervisorTest, RewardDivergenceTrips)
 {
     auto sup = makeSupervisor();
     sup->decide(1, state(), 0.5, 0.0);
-    sup->decide(1, state(), cfg_.supervisor.reward_limit * 10, 0.0);
+    sup->decide(1, state(), AgentSupervisor::kRewardLimit * 10, 0.0);
     EXPECT_EQ(sup->lastTripReason(1),
               AgentSupervisor::TripReason::kRewardDivergence);
 

@@ -57,7 +57,7 @@ TEST(AlphaTuner, StepViolationFunction)
     const double a = AlphaTuner::tune(eval, cfg);
     EXPECT_NEAR(a, 1.0 / 9, 1e-4);
     // The found alpha is admissible.
-    EXPECT_LE(eval(a).slo_violation, cfg.violation_threshold);
+    EXPECT_LE(eval(a).slo_violation, AlphaTuner::kViolationThreshold);
 }
 
 TEST(AlphaTuner, EvaluationCountIsBounded)

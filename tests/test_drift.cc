@@ -143,7 +143,7 @@ TEST(Drift, PsiAndKlMatchHandComputedValues)
     window(m, 0, 1);
     window(m, 0, 2);
 
-    const double eps = cfg.epsilon;
+    const double eps = DriftMonitor::kEpsilon;
     const double btot = 4 + eps * DriftMonitor::kBins;
     const double wtot = 4 + eps * DriftMonitor::kBins;
     double psi = 0.0, kl = 0.0;

@@ -73,13 +73,13 @@ TEST_F(FlashChipTest, RetireRemovesBlockFromServiceForever)
 TEST_F(FlashChipTest, SlowdownStretchesOperationsInsideWindow)
 {
     // 4x factor until t=1000: an op of 100 starting at 0 takes 400.
-    chip_.beginSlowdown(1000, 4.0);
+    chip_.beginSlowdown(1000);
     EXPECT_EQ(chip_.slowUntil(), 1000u);
     EXPECT_EQ(chip_.reserve(0, 100), 400u);
     // An op starting after the window runs at full speed.
     EXPECT_EQ(chip_.reserve(2000, 100), 2100u);
     // Windows only ever extend, never shrink.
-    chip_.beginSlowdown(500, 4.0);
+    chip_.beginSlowdown(500);
     EXPECT_EQ(chip_.slowUntil(), 1000u);
 }
 

@@ -145,7 +145,7 @@ TEST_F(ControllerTest, ClassifierUpdatesAlphaOnline)
     ctrl_->tick();
     // Alpha now reflects the classified cluster (0 or 1 -> LC alpha).
     const double a = ctrl_->agent(0)->alpha();
-    EXPECT_TRUE(a == cfg_.alpha_lc1 || a == cfg_.alpha_lc2);
+    EXPECT_TRUE(a == kAlphaLc1 || a == kAlphaLc2);
 }
 
 }  // namespace
