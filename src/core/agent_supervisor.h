@@ -141,7 +141,6 @@ class AgentSupervisor
     /** Aggregated counters, including per-trainer grad-skip totals. */
     SupervisionStats stats() const;
 
-    const SupervisorConfig &config() const { return cfg_; }
     std::size_t numAttached() const { return entries_.size(); }
 
   private:

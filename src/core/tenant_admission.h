@@ -98,8 +98,6 @@ class TenantAdmissionController
   public:
     explicit TenantAdmissionController(const TenantAdmissionConfig &cfg);
 
-    const TenantAdmissionConfig &config() const { return cfg_; }
-
     /**
      * Decide an arrival's fate on its @p attempt-th try (0-based).
      * Accept requires channels, capacity headroom, SLO headroom, and a

@@ -135,8 +135,6 @@ class DurabilityModel
     /** Power restored (end of recovery). */
     void unfreeze() { frozen_ = false; }
 
-    bool frozen() const { return frozen_; }
-
     /** Flip a byte of the current checkpoint slot (torn write). */
     void corruptCurrentCheckpoint();
 
@@ -160,9 +158,6 @@ class DurabilityModel
     {
         return summaries_[blockIndex(ch, chip, blk)];
     }
-
-    /** OOB entry of @p ppa (tests / debugging). */
-    const OobEntry &oob(Ppa ppa) const { return oob_[ppa]; }
 
     /** Monotonic metadata sequence counter (next version - 1). */
     std::uint64_t seq() const { return seq_; }

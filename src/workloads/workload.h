@@ -94,8 +94,6 @@ class SyntheticWorkload
     /** Stop issuing new requests (in-flight ones drain normally). */
     void stop();
 
-    bool running() const { return running_; }
-
     /** Requests issued / completed so far. */
     std::uint64_t issued() const { return issued_; }
     std::uint64_t completed() const { return completed_; }
