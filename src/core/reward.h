@@ -15,7 +15,7 @@ namespace fleetio {
  * @param avg_bw_mbps   measured window bandwidth of the vSSD
  * @param bw_guar_mbps  bandwidth of the allocated channels
  * @param slo_vio       window SLO-violation fraction in [0, 1]
- * @param slo_vio_guar  the violation budget (1 % by default)
+ * @param slo_vio_guar  the violation budget (FleetIO's is kSloVioGuar, 1 %)
  * @param alpha         isolation-vs-utilization trade-off
  */
 double singleReward(double avg_bw_mbps, double bw_guar_mbps,
