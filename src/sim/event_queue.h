@@ -21,12 +21,15 @@ namespace fleetio {
  * which keeps runs reproducible across platforms. The queue owns the
  * simulated clock: now() only advances when events are dispatched.
  *
- * The binary heap holds only 24-byte {when, seq, slot} keys. Callbacks
- * are InlineFunctions sized so every callback the simulator schedules
- * (including the FlashDevice completion wrappers, which embed a nested
- * device callback) fits inline; they live in a slab whose free slots
- * are recycled, so a heap sift moves keys, never callbacks, and a
- * dispatch costs no malloc/free.
+ * A 4-ary min-heap holds only 16-byte keys: the time, then one word
+ * packing the insertion sequence number above the callback's slot.
+ * Sequence numbers are unique, so the packed word orders same-time
+ * events exactly as the sequence number alone does. Callbacks are
+ * InlineFunctions sized so every callback the simulator schedules
+ * (the FlashDevice host-op events, GC continuations, workload timers)
+ * fits inline; they live in a slab whose free slots are recycled, so a
+ * heap sift moves keys, never callbacks, and a dispatch costs no
+ * malloc/free.
  */
 class EventQueue
 {
@@ -121,25 +124,36 @@ class EventQueue
      *  past it (amortized) only when more are in flight at once. */
     static constexpr std::size_t kInitialCapacity = 512;
 
+    /** Low bits of Key::order holding the slot; the sequence number
+     *  takes the rest. Both limits are checked on every schedule, since
+     *  a wrapped field would silently reorder events. */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr std::uint64_t kMaxSlots = std::uint64_t(1) << kSlotBits;
+    static constexpr std::uint64_t kMaxSeq = std::uint64_t(1)
+                                             << (64 - kSlotBits);
+
     struct Key
     {
         SimTime when;
-        std::uint64_t seq;   // tie-break: FIFO within a timestamp
-        std::uint32_t slot;  // index of the callback in slab_
+        /** seq << kSlotBits | slot: FIFO within a timestamp, and the
+         *  index of the callback in slab_. */
+        std::uint64_t order;
     };
 
-    /** Heap order for std::push_heap/pop_heap: the earliest key on top. */
-    struct Later
+    /** Heap order: @p a dispatches before @p b. One 128-bit compare
+     *  of (when, order) compiles to cmp/sbb with no branch, so a
+     *  sift's child selection does not mispredict. */
+    static bool
+    before(const Key &a, const Key &b)
     {
-        bool
-        operator()(const Key &a, const Key &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
+        using U128 = unsigned __int128;
+        return (U128(a.when) << 64 | a.order) < (U128(b.when) << 64 | b.order);
+    }
 
+    /** Remove the earliest key and restore the heap. @pre !empty(). */
+    Key popEarliest();
+
+    /** Heap ordered by before(); children of i are 4i+1 .. 4i+4. */
     std::vector<Key> heap_;
     std::vector<Callback> slab_;
     std::vector<std::uint32_t> free_slots_;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -290,6 +291,61 @@ TEST_F(EventQueueOracle, DispatchOrderMatchesPriorityQueue)
     EXPECT_EQ(fired_, eq_.dispatched());
     EXPECT_GT(fired_, kHaltAt);
     EXPECT_GE(max_pending_, 1000u);
+}
+
+/**
+ * The same oracle on a deep heap: 6,000 events up front and 60,000 in
+ * all, so more than 5,000 keys are pending at once. That fills five
+ * levels below the root of the 4-ary heap and part of a sixth, so every
+ * sift runs past five levels, both with a full set of four children
+ * and with a partial last level. A third of the times land far ahead,
+ * the rest on a coarse grid (ties) or in the past (clamped to now()).
+ */
+TEST_F(EventQueueOracle, DeepHeapMatchesPriorityQueue)
+{
+    constexpr std::uint64_t kUpFront = 6000;
+    constexpr std::uint64_t kTotal = 60000;
+    std::uint64_t seq = 0;
+    std::uint64_t fired = 0;
+    std::size_t max_pending = 0;
+    std::function<void()> add = [&] {
+        const SimTime now = eq_.now();
+        const std::uint64_t r = rng_.uniformInt(std::uint64_t(12));
+        SimTime when;
+        if (r < 2)
+            when = now - std::min<SimTime>(now, 7 * (r + 1));
+        else if (r < 8)
+            when = now + 10 * (r - 2);
+        else
+            when = now + 10 * rng_.uniformInt(std::uint64_t(5000));
+        const std::uint64_t s = seq++;
+        oracle_.push(Expected{std::max(when, now), s});
+        eq_.scheduleAt(when, [&, s] {
+            ++fired;
+            max_pending = std::max(max_pending, eq_.pending() + 1);
+            ASSERT_FALSE(oracle_.empty());
+            EXPECT_EQ(oracle_.top().seq, s);
+            EXPECT_EQ(oracle_.top().when, eq_.now());
+            oracle_.pop();
+            // 0-2 more each: the pending set holds near its peak until
+            // the budget runs out, then drains.
+            const std::uint64_t n = rng_.uniformInt(std::uint64_t(3));
+            for (std::uint64_t i = 0; i < n && seq < kTotal; ++i)
+                add();
+        });
+    };
+    for (std::uint64_t i = 0; i < kUpFront; ++i)
+        add();
+    while (!eq_.empty()) {
+        eq_.runUntil(eq_.now() + 5000);
+        ASSERT_EQ(eq_.pending(), oracle_.size());
+        EXPECT_EQ(eq_.nextEventTime(),
+                  oracle_.empty() ? kTimeNever : oracle_.top().when);
+    }
+    EXPECT_TRUE(oracle_.empty());
+    EXPECT_EQ(seq, kTotal);
+    EXPECT_EQ(fired, kTotal);
+    EXPECT_GE(max_pending, 5000u);
 }
 
 TEST(InlineFunction, ConvertingConstructorPreservesNull)
