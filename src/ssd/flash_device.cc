@@ -42,7 +42,7 @@ FlashDevice::maybeSlowDown(FlashChip &chp)
 }
 
 SimTime
-FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
+FlashDevice::reserveRead(Ppa ppa, bool host)
 {
     const ChannelId ch = geo_.channelOf(ppa);
     const ChipId cp = geo_.chipOf(ppa);
@@ -74,28 +74,11 @@ FlashDevice::issueReadImpl(Ppa ppa, Callback done, bool host)
                                eq_.now(), chip_free, read_done,
                                array_time - geo_.read_latency, bus_free,
                                complete));
-
-    if (host) {
-        chan.addOutstanding();
-        ++host_reads_;
-        eq_.scheduleAt(complete,
-                       [this, ch, cb = std::move(done)]() mutable {
-                           channels_[ch].removeOutstanding();
-                           if (cb)
-                               cb();
-                       });
-    } else {
-        ++gc_reads_;
-        // No bookkeeping on completion: schedule the callback itself
-        // (the event queue tolerates a null one), skipping a wrapper
-        // indirection.
-        eq_.scheduleAt(complete, std::move(done));
-    }
     return complete;
 }
 
-SimTime
-FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
+std::pair<SimTime, SimTime>
+FlashDevice::reserveProgram(Ppa ppa, bool host)
 {
     const ChannelId ch = geo_.channelOf(ppa);
     const ChipId cp = geo_.chipOf(ppa);
@@ -118,44 +101,61 @@ FlashDevice::issueProgramImpl(Ppa ppa, Callback done, bool host)
                             std::size_t(ch) * geo_.chips_per_channel + cp,
                             eq_.now(), bus_free, xfer_done, chip_free,
                             complete));
+    return {xfer_done, complete};
+}
 
-    if (host) {
-        chan.addOutstanding();
-        ++host_writes_;
-        eq_.scheduleAt(xfer_done, [this, ch]() {
-            channels_[ch].removeOutstanding();
-            if (on_slot_freed_)
-                on_slot_freed_(ch);
-        });
-    } else {
-        ++gc_writes_;
-    }
-    eq_.scheduleAt(complete, std::move(done));
+SimTime
+FlashDevice::issueRead(Ppa ppa, std::uint32_t tag)
+{
+    const SimTime complete = reserveRead(ppa, /*host=*/true);
+    const ChannelId ch = geo_.channelOf(ppa);
+    channels_[ch].addOutstanding();
+    ++host_reads_;
+    eq_.scheduleAt(complete, [this, ch, tag]() {
+        channels_[ch].removeOutstanding();
+        if (on_host_done_)
+            on_host_done_(ch, tag);
+    });
     return complete;
 }
 
 SimTime
-FlashDevice::issueRead(Ppa ppa, Callback done)
+FlashDevice::issueProgram(Ppa ppa, std::uint32_t tag)
 {
-    return issueReadImpl(ppa, std::move(done), /*host=*/true);
-}
-
-SimTime
-FlashDevice::issueProgram(Ppa ppa, Callback done)
-{
-    return issueProgramImpl(ppa, std::move(done), /*host=*/true);
+    const auto [xfer_done, complete] = reserveProgram(ppa, /*host=*/true);
+    const ChannelId ch = geo_.channelOf(ppa);
+    channels_[ch].addOutstanding();
+    ++host_writes_;
+    eq_.scheduleAt(xfer_done, [this, ch]() {
+        channels_[ch].removeOutstanding();
+        if (on_slot_freed_)
+            on_slot_freed_(ch);
+    });
+    eq_.scheduleAt(complete, [this, ch, tag]() {
+        if (on_host_done_)
+            on_host_done_(ch, tag);
+    });
+    return complete;
 }
 
 SimTime
 FlashDevice::issueGcRead(Ppa ppa, Callback done)
 {
-    return issueReadImpl(ppa, std::move(done), /*host=*/false);
+    const SimTime complete = reserveRead(ppa, /*host=*/false);
+    ++gc_reads_;
+    // No bookkeeping on completion: schedule the callback itself (the
+    // event queue tolerates a null one).
+    eq_.scheduleAt(complete, std::move(done));
+    return complete;
 }
 
 SimTime
 FlashDevice::issueGcProgram(Ppa ppa, Callback done)
 {
-    return issueProgramImpl(ppa, std::move(done), /*host=*/false);
+    const SimTime complete = reserveProgram(ppa, /*host=*/false).second;
+    ++gc_writes_;
+    eq_.scheduleAt(complete, std::move(done));
+    return complete;
 }
 
 SimTime

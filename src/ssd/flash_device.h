@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 // fleetio-lint: allow(layering): obs instrumentation is deliberately
@@ -50,14 +51,14 @@ class FlashDevice
 {
   public:
     /**
-     * Completion callback. Sized so that the host-op wrapper the device
-     * schedules around it (callback + bookkeeping captures) still fits
-     * in the event queue's inline storage — the whole completion path
-     * is allocation-free.
+     * Completion callback of a GC read, program or erase. The device
+     * schedules it on the event queue as it is, with no wrapper around
+     * it, so it is the queue's own callback type.
      */
-    static constexpr std::size_t kCallbackInlineBytes = 48;
-    using Callback = InlineFunction<void(), kCallbackInlineBytes>;
+    using Callback = EventQueue::Callback;
     using SlotFreedFn = InlineFunction<void(ChannelId), 24>;
+    /** Host-op completion hook: the op's channel and its issue tag. */
+    using HostDoneFn = InlineFunction<void(ChannelId, std::uint32_t), 24>;
 
     FlashDevice(const SsdGeometry &geo, EventQueue &eq);
 
@@ -72,16 +73,19 @@ class FlashDevice
     // --- Timing operations ------------------------------------------
 
     /**
-     * Issue a page read at @p ppa. Counts against the channel's
-     * outstanding ops until completion. @return completion time.
+     * Issue a host page read at @p ppa. Counts against the channel's
+     * outstanding ops until completion, which calls the host-done hook
+     * with @p tag. @return completion time.
      */
-    SimTime issueRead(Ppa ppa, Callback done);
+    SimTime issueRead(Ppa ppa, std::uint32_t tag);
 
     /**
-     * Issue a page program at @p ppa (placement already chosen).
-     * @return completion time.
+     * Issue a host page program at @p ppa (placement already chosen).
+     * Its dispatch slot frees at the end of the bus transfer (the
+     * slot-freed hook); completion calls the host-done hook with
+     * @p tag. @return completion time.
      */
-    SimTime issueProgram(Ppa ppa, Callback done);
+    SimTime issueProgram(Ppa ppa, std::uint32_t tag);
 
     /**
      * Issue a block erase. Chip-only occupancy; does not change block
@@ -106,10 +110,18 @@ class FlashDevice
 
     /**
      * Hook invoked whenever a channel dispatch slot frees up before
-     * the op's completion callback (write transfers end while the
-     * program continues in-chip). The I/O scheduler uses it to pump.
+     * the op completes (write transfers end while the program
+     * continues in-chip). The I/O scheduler uses it to pump.
      */
     void setOnSlotFreed(SlotFreedFn cb) { on_slot_freed_ = std::move(cb); }
+
+    /**
+     * Hook invoked when a host read or program completes, with the
+     * op's channel and the tag it was issued with. The I/O scheduler
+     * passes its request id as the tag. A program's slot-freed event
+     * is scheduled before its completion event.
+     */
+    void setOnHostDone(HostDoneFn cb) { on_host_done_ = std::move(cb); }
 
     // --- Fault injection -----------------------------------------------
 
@@ -257,8 +269,11 @@ class FlashDevice
     double writeAmplification() const;
 
   private:
-    SimTime issueReadImpl(Ppa ppa, Callback done, bool host);
-    SimTime issueProgramImpl(Ppa ppa, Callback done, bool host);
+    /** Reserve chip then bus for a read. @return completion time. */
+    SimTime reserveRead(Ppa ppa, bool host);
+    /** Reserve bus then chip for a program. @return {end of the bus
+     *  transfer, completion time}. */
+    std::pair<SimTime, SimTime> reserveProgram(Ppa ppa, bool host);
 
     /** Consult the injector for a slow-down window on @p chp. */
     void maybeSlowDown(FlashChip &chp);
@@ -270,6 +285,7 @@ class FlashDevice
     DurabilityModel *durability_ = nullptr;
     PowerLossInjector *power_loss_ = nullptr;
     SlotFreedFn on_slot_freed_;
+    HostDoneFn on_host_done_;
     std::vector<Channel> channels_;
     std::vector<FlashChip> chips_;  // [channel * chips_per_channel + chip]
     std::vector<RmapEntry> rmap_;

@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "src/sim/inline_function.h"
 #include "src/sim/types.h"
@@ -18,6 +17,11 @@ namespace fleetio {
  * One tenant I/O. Multi-page requests fan out into per-page device
  * operations; the request completes (and its latency is measured) when
  * the last page completes.
+ *
+ * The caller builds a value and hands it to IoScheduler::submit, which
+ * moves it into a pooled slot addressed by a 32-bit id. The slot stays
+ * put until on_complete has returned, and its page ops and device
+ * completions carry only the id, so a request costs no allocation.
  */
 struct IoRequest
 {
@@ -54,7 +58,5 @@ struct IoRequest
         return std::uint64_t(npages) * page_size;
     }
 };
-
-using IoRequestPtr = std::shared_ptr<IoRequest>;
 
 }  // namespace fleetio

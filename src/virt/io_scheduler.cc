@@ -40,7 +40,22 @@ IoScheduler::IoScheduler(FlashDevice &dev, VssdManager &vssds)
     // The out-of-capacity stash is appended to from the submit path;
     // pre-size it so backpressure bursts never reallocate mid-I/O.
     blocked_.reserve(64);
+    retrying_.reserve(64);
     dev_.setOnSlotFreed([this](ChannelId ch) { pump(ch); });
+    dev_.setOnHostDone([this](ChannelId ch, std::uint32_t id) {
+        onPageDone(id);
+        pump(ch);
+    });
+}
+
+void
+IoScheduler::OpRing::grow()
+{
+    std::vector<PageOp> bigger(std::max<std::size_t>(8, 2 * buf_.size()));
+    for (std::size_t i = 0; i < size_; ++i)
+        bigger[i] = buf_[(head_ + i) & mask()];
+    buf_.swap(bigger);
+    head_ = 0;
 }
 
 void
@@ -63,69 +78,74 @@ IoScheduler::tenantQuiesced(VssdId id) const
     if (inflightRequests(id) != 0)
         return false;
     for (const BlockedWrite &bw : blocked_) {
-        if (bw.req->vssd == id)
+        if (pool_[bw.req].vssd == id)
             return false;
     }
     return true;
 }
 
 void
-IoScheduler::submit(IoRequestPtr req)
+IoScheduler::submit(IoRequest req)
 {
     EventQueue &eq = dev_.eventQueue();
-    req->submit_time = eq.now();
-    Vssd *v = vssds_.get(req->vssd);
+    req.submit_time = eq.now();
+    Vssd *v = vssds_.get(req.vssd);
     assert(v != nullptr);
-    assert(vssds_.alive(req->vssd) &&
+    assert(vssds_.alive(req.vssd) &&
            "I/O submitted for a removed vSSD");
     assert(!v->retiring() && "I/O submitted for a draining vSSD");
-    req->prio = v->effectivePriority();
-    if (inflight_reqs_.size() <= req->vssd)
-        inflight_reqs_.resize(req->vssd + 1, 0);
-    ++inflight_reqs_[req->vssd];
-    req->pages_done = 0;
-    req->trace_id = next_req_id_++;
+    req.prio = v->effectivePriority();
+    if (inflight_reqs_.size() <= req.vssd)
+        inflight_reqs_.resize(req.vssd + 1, 0);
+    ++inflight_reqs_[req.vssd];
+    req.pages_done = 0;
+    req.trace_id = next_req_id_++;
+    ReqId id;
+    if (free_ids_.empty()) {
+        id = ReqId(pool_.size());
+        pool_.push_back(std::move(req));
+    } else {
+        id = free_ids_.back();
+        free_ids_.pop_back();
+        pool_[id] = std::move(req);
+    }
+    IoRequest &r = pool_[id];
     FLEETIO_OBS(dev_.obs(),
-                ioSubmit(eq.now(), req->vssd, req->trace_id, req->type,
-                         req->npages, req->attr_stages,
-                         &req->attr_complete));
+                ioSubmit(eq.now(), r.vssd, r.trace_id, r.type, r.npages,
+                         r.attr_stages, &r.attr_complete));
 
-    for (std::uint32_t i = 0; i < req->npages; ++i)
-        enqueuePage(req, req->lpa + i);
+    for (std::uint32_t i = 0; i < r.npages; ++i)
+        enqueuePage(id, r.lpa + i);
 
     // Writing may have raised capacity pressure: nudge this tenant's GC.
-    if (req->type == IoType::kWrite && v->ftl().needsGc())
+    if (r.type == IoType::kWrite && v->ftl().needsGc())
         v->gc().maybeStart();
 }
 
 void
-IoScheduler::enqueuePage(IoRequestPtr req, Lpa lpa)
+IoScheduler::enqueuePage(ReqId id, Lpa lpa)
 {
-    Vssd *v = vssds_.get(req->vssd);
+    const IoRequest &req = pool_[id];
+    Vssd *v = vssds_.get(req.vssd);
     Ftl &ftl = v->ftl();
 
-    if (req->type == IoType::kRead) {
-        const Ppa ppa = ftl.lookup(lpa);
-        if (ppa == kNoPpa) {
+    PageOp op;
+    op.req = id;
+    op.prio = req.prio;
+    op.type = req.type;
+    if (req.type == IoType::kRead) {
+        op.ppa = ftl.lookup(lpa);
+        if (op.ppa == kNoPpa) {
             // Reading an unwritten page: served from the mapping table
             // (no flash access), modelled as a chip-read-latency delay.
-            completeZeroFill(req);
+            completeZeroFill(id);
             return;
         }
-        PageOp op;
-        op.req = req;
-        op.ppa = ppa;
-        op.foreign = isForeign(ftl, ppa);
-        enqueueOp(dev_.geometry().channelOf(ppa), req->vssd,
-                  std::move(op));
-        return;
-    }
-
-    // Write: resolve placement now (own channels + harvested gSBs).
-    Ppa ppa;
-    if (!ftl.allocateWrite(lpa, ppa)) {
-        // Out of capacity: wait for GC to free blocks, then retry.
-        blocked_.push_back(BlockedWrite{req, lpa});
+    } else if (!ftl.allocateWrite(lpa, op.ppa)) {
+        // Write: placement resolves now (own channels + harvested
+        // gSBs). Out of capacity: wait for GC to free blocks, then
+        // retry.
+        blocked_.push_back(BlockedWrite{id, lpa});
         v->gc().maybeStart();
         if (!retry_scheduled_) {
             retry_scheduled_ = true;
@@ -136,11 +156,8 @@ IoScheduler::enqueuePage(IoRequestPtr req, Lpa lpa)
         }
         return;
     }
-    PageOp op;
-    op.req = req;
-    op.ppa = ppa;
-    op.foreign = isForeign(ftl, ppa);
-    enqueueOp(dev_.geometry().channelOf(ppa), req->vssd, std::move(op));
+    op.foreign = isForeign(ftl, op.ppa);
+    enqueueOp(dev_.geometry().channelOf(op.ppa), req.vssd, op);
 }
 
 bool
@@ -164,51 +181,62 @@ IoScheduler::enqueueOp(ChannelId ch, VssdId vssd, PageOp op)
 }
 
 void
-IoScheduler::completeZeroFill(IoRequestPtr req)
+IoScheduler::completeZeroFill(ReqId id)
 {
     EventQueue &eq = dev_.eventQueue();
     const SimTime lat = dev_.geometry().read_latency;
     // The whole page span is modelled chip service: no queueing, no
     // bus, no interference — the mapping table answered.
+    IoRequest &req = pool_[id];
     FLEETIO_OBS(dev_.obs(),
-                zeroFillPage(req->vssd, lat, eq.now() + lat,
-                             req->attr_stages, &req->attr_complete));
-    eq.scheduleAfter(lat, [this, req]() {
-        onPageDone(req);
-    });
+                zeroFillPage(req.vssd, lat, eq.now() + lat,
+                             req.attr_stages, &req.attr_complete));
+    eq.scheduleAfter(lat, [this, id]() { onPageDone(id); });
 }
 
 void
-IoScheduler::onPageDone(IoRequestPtr req)
+IoScheduler::onPageDone(ReqId id)
 {
-    ++req->pages_done;
-    if (req->pages_done < req->npages)
+    // A reference into the pool stays valid while on_complete submits
+    // more requests: pool slots never move.
+    IoRequest &req = pool_[id];
+    ++req.pages_done;
+    if (req.pages_done < req.npages)
         return;
-    assert(req->vssd < inflight_reqs_.size() &&
-           inflight_reqs_[req->vssd] > 0);
-    --inflight_reqs_[req->vssd];
+    assert(req.vssd < inflight_reqs_.size() &&
+           inflight_reqs_[req.vssd] > 0);
+    --inflight_reqs_[req.vssd];
     EventQueue &eq = dev_.eventQueue();
-    Vssd *v = vssds_.get(req->vssd);
+    Vssd *v = vssds_.get(req.vssd);
     const SimTime now = eq.now();
-    const SimTime lat = now - req->submit_time;
+    const SimTime lat = now - req.submit_time;
     v->latency().record(lat);
-    const std::uint64_t bytes = req->bytes(dev_.geometry().page_size);
-    v->bandwidth().record(req->type, bytes);
+    const std::uint64_t bytes = req.bytes(dev_.geometry().page_size);
+    v->bandwidth().record(req.type, bytes);
     FLEETIO_OBS(dev_.obs(),
-                ioComplete(now, req->vssd, req->trace_id, req->type,
-                           req->submit_time, bytes, req->attr_stages));
+                ioComplete(now, req.vssd, req.trace_id, req.type,
+                           req.submit_time, bytes, req.attr_stages));
     if (completion_tap_)
-        completion_tap_(*req);
-    if (req->on_complete)
-        req->on_complete(*req, now);
+        completion_tap_(req);
+    if (req.on_complete)
+        req.on_complete(req, now);
+    // Freed only now, so a submit from on_complete cannot reuse the
+    // slot it is running from.
+    req.on_complete = nullptr;
+    free_ids_.push_back(id);
 }
 
 void
 IoScheduler::crashReset()
 {
     for (ChannelQueues &cq : queues_)
-        for (auto &dq : cq)
-            dq.clear();
+        for (OpRing &ring : cq)
+            ring.clear();
+    free_ids_.clear();
+    for (ReqId id = ReqId(pool_.size()); id-- > 0;) {
+        pool_[id].on_complete = nullptr;
+        free_ids_.push_back(id);
+    }
     blocked_.clear();
     std::fill(inflight_reqs_.begin(), inflight_reqs_.end(), 0);
     std::fill(token_pump_scheduled_.begin(),
@@ -256,12 +284,12 @@ IoScheduler::pump(ChannelId ch)
             // priority cap; on its own channels a vSSD is never
             // throttled below the medium cap.
             const std::size_t cap_prio =
-                head.foreign ? std::size_t(head.req->prio)
-                             : std::max(std::size_t(head.req->prio),
+                head.foreign ? std::size_t(head.prio)
+                             : std::max(std::size_t(head.prio),
                                         std::size_t(Priority::kMedium));
             if (dev_.channel(ch).outstanding() >= kPrioCaps[cap_prio])
                 continue;  // keep the queue shallow for this priority
-            const int prio = use_priority_ ? int(head.req->prio) : 0;
+            const int prio = use_priority_ ? int(head.prio) : 0;
             const double pass =
                 use_stride_ ? stride_.pass(VssdId(vid)) : 0.0;
 
@@ -291,7 +319,7 @@ IoScheduler::pump(ChannelId ch)
             return;
         }
 
-        PageOp op = std::move(cq[best].front());
+        const PageOp op = cq[best].front();
         cq[best].pop_front();
         --queued_ops_;
         ++dispatched_ops_;
@@ -307,11 +335,6 @@ IoScheduler::pump(ChannelId ch)
         if (TokenBucket *tb = findBucket(tier_buckets_, vid))
             tb->tryConsume(page_bytes, eq.now());
 
-        IoRequestPtr req = op.req;
-        auto done = [this, req, ch]() {
-            onPageDone(req);
-            pump(ch);
-        };
         {
             // Arm the attribution hub for this page: the device notes
             // the op's exact wait/service split against this tenant,
@@ -321,15 +344,18 @@ IoScheduler::pump(ChannelId ch)
                                          op.foreign
                                              ? obs::SegKind::kHarvestOp
                                              : obs::SegKind::kHostOp);
-            if (req->type == IoType::kRead)
-                dev_.issueRead(op.ppa, std::move(done));
+            // Completion comes back through the host-done hook with
+            // the request id as the tag.
+            if (op.type == IoType::kRead)
+                dev_.issueRead(op.ppa, op.req);
             else
-                dev_.issueProgram(op.ppa, std::move(done));
+                dev_.issueProgram(op.ppa, op.req);
         }
+        IoRequest &req = pool_[op.req];
         FLEETIO_OBS(dev_.obs(),
-                    ioDispatch(eq.now(), vid, req->trace_id, ch,
-                               op.enqueue_time - req->submit_time, wait,
-                               req->attr_stages, &req->attr_complete));
+                    ioDispatch(eq.now(), vid, req.trace_id, ch,
+                               op.enqueue_time - req.submit_time, wait,
+                               req.attr_stages, &req.attr_complete));
     }
 }
 
@@ -338,10 +364,10 @@ IoScheduler::retryBlocked()
 {
     if (blocked_.empty())
         return;
-    std::vector<BlockedWrite> pending;
-    pending.swap(blocked_);
-    for (auto &bw : pending)
+    retrying_.swap(blocked_);
+    for (const BlockedWrite &bw : retrying_)
         enqueuePage(bw.req, bw.lpa);
+    retrying_.clear();
     // enqueuePage re-adds still-stuck writes to blocked_ and re-arms the
     // retry timer through the normal path.
 }

@@ -10,7 +10,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,6 +35,11 @@ namespace fleetio {
  * tenant's FTL (own channels plus harvested gSB capacity); reads go to
  * wherever the data lives. Writes that find no free capacity wait for
  * GC and retry on a short timer.
+ *
+ * The request path allocates nothing once warm: submitted requests
+ * live in a pool addressed by a 32-bit id, each (channel, vSSD) queue
+ * is a ring that only grows, and the device reports a host page op's
+ * completion through one hook that passes the id back.
  */
 class IoScheduler
 {
@@ -69,9 +73,14 @@ class IoScheduler
     void setTierLimit(VssdId id, double rate_bytes_per_sec,
                       double burst_bytes);
 
-    /** Submit one tenant request. The scheduler stamps submit_time and
-     *  the vSSD's current priority (clamped by its G-state ceiling). */
-    void submit(IoRequestPtr req);
+    /** Submit one tenant request. The scheduler moves it into its
+     *  request pool and stamps submit_time and the vSSD's current
+     *  priority (clamped by its G-state ceiling). */
+    void submit(IoRequest req);
+
+    /** Slots in the request pool: the most requests that were ever in
+     *  flight at once. */
+    std::size_t requestSlots() const { return pool_.size(); }
 
     /** Requests submitted but not yet completed for one tenant. */
     std::uint64_t inflightRequests(VssdId id) const
@@ -115,32 +124,74 @@ class IoScheduler
     void crashReset();
 
   private:
+    /** A pooled request's id: its slot in pool_. */
+    using ReqId = std::uint32_t;
+
     struct PageOp
     {
-        IoRequestPtr req;
-        Ppa ppa = kNoPpa;
-        std::uint64_t seq = 0;
-        SimTime enqueue_time = 0;
+        ReqId req = 0;
+        /** The request's priority and type, copied at submit, so a
+         *  pump reads a queue head without touching the request. */
+        Priority prio = Priority::kMedium;
+        IoType type = IoType::kRead;
         /** Op targets a channel outside the vSSD's own set (i.e.
          *  harvested capacity): full priority caps apply. On own
          *  channels a vSSD is never throttled below medium. */
         bool foreign = false;
+        Ppa ppa = kNoPpa;
+        std::uint64_t seq = 0;
+        SimTime enqueue_time = 0;
     };
 
     struct BlockedWrite
     {
-        IoRequestPtr req;
+        ReqId req;
         Lpa lpa;
     };
 
-    /** Per-channel queues, one deque per vSSD. */
-    using ChannelQueues = std::vector<std::deque<PageOp>>;
+    /**
+     * The page ops of one (channel, vSSD) queue in FIFO order: a ring
+     * that doubles when full and never shrinks, so a warm queue
+     * allocates nothing.
+     */
+    class OpRing
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        const PageOp &front() const { return buf_[head_]; }
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & mask();
+            --size_;
+        }
+        void
+        push_back(const PageOp &op)
+        {
+            if (size_ == buf_.size())
+                grow();
+            buf_[(head_ + size_) & mask()] = op;
+            ++size_;
+        }
+        void clear() { head_ = size_ = 0; }
 
-    void enqueuePage(IoRequestPtr req, Lpa lpa);
+      private:
+        std::size_t mask() const { return buf_.size() - 1; }
+        void grow();
+
+        std::vector<PageOp> buf_;  // empty or a power-of-two size
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
+    /** Per-channel queues, one ring per vSSD. */
+    using ChannelQueues = std::vector<OpRing>;
+
+    void enqueuePage(ReqId id, Lpa lpa);
     bool isForeign(const Ftl &ftl, Ppa ppa) const;
     void enqueueOp(ChannelId ch, VssdId vssd, PageOp op);
-    void completeZeroFill(IoRequestPtr req);
-    void onPageDone(IoRequestPtr req);
+    void completeZeroFill(ReqId id);
+    void onPageDone(ReqId id);
     void pump(ChannelId ch);
     void retryBlocked();
     void scheduleTokenPump(ChannelId ch, SimTime when);
@@ -153,7 +204,19 @@ class IoScheduler
     std::vector<std::optional<TokenBucket>> tier_buckets_;
     std::vector<std::uint64_t> inflight_reqs_;  // [vssd]
     StrideScheduler stride_;
+    /**
+     * Requests in flight, indexed by ReqId. A deque never moves an
+     * element when it grows: on_complete runs from its request's slot
+     * and may submit the next request, growing the pool, before it
+     * returns. A slot is freed only after that; freed ids are reused
+     * last in, first out.
+     */
+    std::deque<IoRequest> pool_;
+    std::vector<ReqId> free_ids_;
     std::vector<BlockedWrite> blocked_;
+    /** blocked_'s other buffer: a retry swaps the two, so a retry
+     *  round allocates nothing. */
+    std::vector<BlockedWrite> retrying_;
     std::vector<bool> token_pump_scheduled_;
 
     bool use_priority_ = true;

@@ -97,48 +97,48 @@ SyntheticWorkload::scheduleNextArrival()
     });
 }
 
-IoRequestPtr
+IoRequest
 SyntheticWorkload::buildRequest()
 {
-    auto req = std::make_shared<IoRequest>();
-    req->vssd = vssd_;
-    req->type = rng_.bernoulli(profile_.read_fraction) ? IoType::kRead
-                                                       : IoType::kWrite;
-    const std::uint32_t lo = req->type == IoType::kRead
+    IoRequest req;
+    req.vssd = vssd_;
+    req.type = rng_.bernoulli(profile_.read_fraction) ? IoType::kRead
+                                                      : IoType::kWrite;
+    const std::uint32_t lo = req.type == IoType::kRead
                                  ? profile_.read_pages_min
                                  : profile_.write_pages_min;
-    const std::uint32_t hi = req->type == IoType::kRead
+    const std::uint32_t hi = req.type == IoType::kRead
                                  ? profile_.read_pages_max
                                  : profile_.write_pages_max;
-    req->npages = std::uint32_t(
+    req.npages = std::uint32_t(
         rng_.uniformInt(std::int64_t(lo), std::int64_t(hi)));
 
     Lpa lpa;
     if (rng_.bernoulli(profile_.sequential_fraction)) {
-        lpa = addr_->streamNext(addr_->pickStream(rng_), req->npages);
+        lpa = addr_->streamNext(addr_->pickStream(rng_), req.npages);
     } else {
         lpa = addr_->randomPage(rng_);
     }
     // Clamp so the span stays inside the logical space.
     const std::uint64_t ws = addr_->workingSetPages();
-    if (lpa + req->npages > ws)
-        lpa = ws >= req->npages ? ws - req->npages : 0;
-    req->lpa = lpa;
+    if (lpa + req.npages > ws)
+        lpa = ws >= req.npages ? ws - req.npages : 0;
+    req.lpa = lpa;
     return req;
 }
 
 void
 SyntheticWorkload::issueOne()
 {
-    IoRequestPtr req = buildRequest();
+    IoRequest req = buildRequest();
 
     if (trace_enabled_ && trace_.size() < trace_cap_) {
-        trace_.push_back(TraceRecord{eq_.now(), req->type, req->lpa,
-                                     req->npages});
+        trace_.push_back(TraceRecord{eq_.now(), req.type, req.lpa,
+                                     req.npages});
     }
 
     const std::uint64_t gen = generation_;
-    req->on_complete = [this, gen](const IoRequest &, SimTime) {
+    req.on_complete = [this, gen](const IoRequest &, SimTime) {
         ++completed_;
         if (profile_.mode != WorkloadProfile::Mode::kClosedLoop ||
             !running_ || gen != generation_) {

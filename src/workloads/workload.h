@@ -111,7 +111,7 @@ class SyntheticWorkload
   private:
     void scheduleNextArrival();
     void issueOne();
-    IoRequestPtr buildRequest();
+    IoRequest buildRequest();
     double currentRate() const;
     bool inBurst() const;
 

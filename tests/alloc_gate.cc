@@ -85,7 +85,7 @@ expectAllocs(ExperimentSpec spec, std::uint64_t prepare,
 
 TEST(AllocGate, HardwareIsolation)
 {
-    expectAllocs(gateSpec(PolicyKind::kHardwareIsolation), 0, 24400);
+    expectAllocs(gateSpec(PolicyKind::kHardwareIsolation), 0, 10);
 }
 
 TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
@@ -95,7 +95,7 @@ TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
     spec.opts.obs.metrics = true;
     spec.opts.obs.attribution = true;
     spec.opts.obs.drift = true;
-    expectAllocs(spec, 0, 30432, [](Testbed &tb) {
+    expectAllocs(spec, 0, 352, [](Testbed &tb) {
         EXPECT_NE(tb.tracer(), nullptr);
         EXPECT_NE(tb.attribution(), nullptr);
     });
@@ -103,7 +103,7 @@ TEST(AllocGate, SoftwareIsolationWithEveryObsSink)
 
 TEST(AllocGate, FleetIo)
 {
-    expectAllocs(gateSpec(PolicyKind::kFleetIo), 492980, 16612);
+    expectAllocs(gateSpec(PolicyKind::kFleetIo), 18166, 430);
 }
 
 TEST(AllocGate, FleetIoWithFaults)
@@ -115,7 +115,7 @@ TEST(AllocGate, FleetIoWithFaults)
     f.erase_fail_prob = 1e-2;
     f.chip_slowdown_prob = 1e-3;
     f.wear_error_growth = 1e-5;
-    const ExperimentResult res = expectAllocs(spec, 501727, 16125);
+    const ExperimentResult res = expectAllocs(spec, 17736, 433);
     EXPECT_GT(res.faults.read_retries, 0u);
 }
 
@@ -145,7 +145,7 @@ TEST(AllocGate, FleetIoWithChurn)
     el.admission.backoff_base = msec(100);
     el.admission.backoff_cap = msec(800);
     el.admission.max_retries = 8;
-    const ExperimentResult res = expectAllocs(spec, 492980, 25409);
+    const ExperimentResult res = expectAllocs(spec, 18166, 896);
     EXPECT_EQ(res.churn.removals_completed, 1u);
     EXPECT_EQ(res.churn.admitted, 1u);
 }
@@ -155,7 +155,7 @@ TEST(AllocGate, HardwareIsolationWithPowerLoss)
     ExperimentSpec spec = gateSpec(PolicyKind::kHardwareIsolation);
     spec.opts.crash.plan.trigger = CrashPlan::Trigger::kSimTime;
     spec.opts.crash.plan.at = spec.warm_run + spec.measure / 2;
-    expectAllocs(spec, 0, 128809, [](Testbed &tb) {
+    expectAllocs(spec, 0, 105699, [](Testbed &tb) {
         EXPECT_TRUE(tb.recovered());
         EXPECT_GT(tb.recoveryReport().crash_time, tb.measureStart());
     });
@@ -163,7 +163,7 @@ TEST(AllocGate, HardwareIsolationWithPowerLoss)
 
 TEST(AllocGate, SsdKeeper)
 {
-    expectAllocs(gateSpec(PolicyKind::kSsdKeeper), 6266, 23852);
+    expectAllocs(gateSpec(PolicyKind::kSsdKeeper), 72, 32);
 }
 
 }  // namespace

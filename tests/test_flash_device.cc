@@ -24,7 +24,10 @@ TEST_F(FlashDeviceTest, ReadTimingIsChipThenBus)
     const Ppa ppa = geo.makePpa(0, chip, blk, pg);
 
     bool done = false;
-    const SimTime complete = dev_.issueRead(ppa, [&] { done = true; });
+    dev_.setOnHostDone([&](ChannelId ch, std::uint32_t tag) {
+        done = ch == 0 && tag == 7;
+    });
+    const SimTime complete = dev_.issueRead(ppa, 7);
     EXPECT_EQ(complete, geo.read_latency + geo.pageTransferTime());
     EXPECT_FALSE(done);
     eq_.runAll();
@@ -41,7 +44,7 @@ TEST_F(FlashDeviceTest, ProgramTimingIsBusThenChip)
     const PageId pg = dev_.chip(0, chip).programNextPage(blk);
     const Ppa ppa = geo.makePpa(0, chip, blk, pg);
 
-    const SimTime complete = dev_.issueProgram(ppa, nullptr);
+    const SimTime complete = dev_.issueProgram(ppa, 0);
     EXPECT_EQ(complete, geo.pageTransferTime() + geo.program_latency);
     EXPECT_EQ(dev_.hostWrites(), 1u);
 }
@@ -60,8 +63,8 @@ TEST_F(FlashDeviceTest, BusSerializesSameChannelTransfers)
     const Ppa p0 = geo.makePpa(0, c0, b0, 0);
     const Ppa p1 = geo.makePpa(0, c1, b1, 0);
 
-    const SimTime t0 = dev_.issueRead(p0, nullptr);
-    const SimTime t1 = dev_.issueRead(p1, nullptr);
+    const SimTime t0 = dev_.issueRead(p0, 0);
+    const SimTime t1 = dev_.issueRead(p1, 1);
     EXPECT_EQ(t0, geo.read_latency + geo.pageTransferTime());
     if (c0 != c1) {
         // Second transfer queues behind the first on the bus.
@@ -79,8 +82,8 @@ TEST_F(FlashDeviceTest, DifferentChannelsProceedInParallel)
     ASSERT_TRUE(dev_.allocateBlock(1, 0, c1, b1));
     dev_.chip(1, c1).programNextPage(b1);
 
-    const SimTime t0 = dev_.issueRead(geo.makePpa(0, c0, b0, 0), nullptr);
-    const SimTime t1 = dev_.issueRead(geo.makePpa(1, c1, b1, 0), nullptr);
+    const SimTime t0 = dev_.issueRead(geo.makePpa(0, c0, b0, 0), 0);
+    const SimTime t1 = dev_.issueRead(geo.makePpa(1, c1, b1, 0), 1);
     EXPECT_EQ(t0, t1);
 }
 
@@ -92,12 +95,17 @@ TEST_F(FlashDeviceTest, WriteSlotFreesAtTransferEnd)
     ASSERT_TRUE(dev_.allocateBlock(0, 0, chip, blk));
     const PageId pg = dev_.chip(0, chip).programNextPage(blk);
     ChannelId freed_ch = 999;
+    bool done = false;
     dev_.setOnSlotFreed([&](ChannelId ch) { freed_ch = ch; });
-    dev_.issueProgram(geo.makePpa(0, chip, blk, pg), nullptr);
+    dev_.setOnHostDone([&](ChannelId, std::uint32_t) { done = true; });
+    dev_.issueProgram(geo.makePpa(0, chip, blk, pg), 0);
     EXPECT_EQ(dev_.channel(0).outstanding(), 1u);
     eq_.runUntil(geo.pageTransferTime());
     EXPECT_EQ(dev_.channel(0).outstanding(), 0u);
     EXPECT_EQ(freed_ch, 0u);
+    EXPECT_FALSE(done);  // the program continues in the chip
+    eq_.runAll();
+    EXPECT_TRUE(done);
 }
 
 TEST_F(FlashDeviceTest, QueueDepthGatesDispatch)
@@ -109,7 +117,7 @@ TEST_F(FlashDeviceTest, QueueDepthGatesDispatch)
     for (std::uint32_t i = 0; i < geo.max_queue_depth; ++i) {
         const PageId pg = dev_.chip(0, chip).programNextPage(blk);
         ASSERT_TRUE(dev_.canDispatch(0));
-        dev_.issueRead(geo.makePpa(0, chip, blk, pg), nullptr);
+        dev_.issueRead(geo.makePpa(0, chip, blk, pg), i);
     }
     EXPECT_FALSE(dev_.canDispatch(0));
     eq_.runAll();
@@ -129,7 +137,7 @@ TEST_F(FlashDeviceTest, GcOpsBypassQueueDepthButShareTime)
     EXPECT_EQ(dev_.channel(0).outstanding(), 0u);  // not counted
     EXPECT_EQ(dev_.gcReads(), 1u);
     // A host read behind it queues on the same bus.
-    const SimTime t_host = dev_.issueRead(ppa, nullptr);
+    const SimTime t_host = dev_.issueRead(ppa, 0);
     EXPECT_GT(t_host, t_gc);
 }
 
@@ -178,7 +186,7 @@ TEST_F(FlashDeviceTest, UtilizationAccountsBusTime)
     BlockId blk;
     ASSERT_TRUE(dev_.allocateBlock(0, 0, chip, blk));
     const PageId pg = dev_.chip(0, chip).programNextPage(blk);
-    dev_.issueRead(geo.makePpa(0, chip, blk, pg), nullptr);
+    dev_.issueRead(geo.makePpa(0, chip, blk, pg), 0);
     eq_.runAll();
     const SimTime elapsed = eq_.now();
     const double util = dev_.busUtilization(elapsed);
@@ -198,7 +206,7 @@ TEST_F(FlashDeviceTest, WriteAmplificationRatio)
     ASSERT_TRUE(dev_.allocateBlock(0, 0, chip, blk));
     for (int i = 0; i < 4; ++i) {
         const PageId pg = dev_.chip(0, chip).programNextPage(blk);
-        dev_.issueProgram(geo.makePpa(0, chip, blk, pg), nullptr);
+        dev_.issueProgram(geo.makePpa(0, chip, blk, pg), std::uint32_t(i));
     }
     const PageId pg = dev_.chip(0, chip).programNextPage(blk);
     dev_.issueGcProgram(geo.makePpa(0, chip, blk, pg), nullptr);

@@ -1,10 +1,12 @@
 /** @file Integration tests for the I/O scheduler. */
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <functional>
 #include <tuple>
 #include <vector>
 
+#include "src/sim/rng.h"
 #include "src/virt/io_scheduler.h"
 
 namespace fleetio {
@@ -31,15 +33,14 @@ class IoSchedulerTest : public ::testing::Test
         return vssds_.create(cfg);
     }
 
-    IoRequestPtr makeReq(VssdId v, IoType type, Lpa lpa,
-                         std::uint32_t npages)
+    IoRequest makeReq(VssdId v, IoType type, Lpa lpa, std::uint32_t npages)
     {
-        auto req = std::make_shared<IoRequest>();
-        req->vssd = v;
-        req->type = type;
-        req->lpa = lpa;
-        req->npages = npages;
-        req->on_complete = [this](const IoRequest &, SimTime) {
+        IoRequest req;
+        req.vssd = v;
+        req.type = type;
+        req.lpa = lpa;
+        req.npages = npages;
+        req.on_complete = [this](const IoRequest &, SimTime) {
             ++completed_;
         };
         return req;
@@ -186,6 +187,93 @@ TEST_F(IoSchedulerTest, BlockedWritesRetryAfterCapacityFrees)
     EXPECT_EQ(sched_.blockedWrites(), 0u);
     eq_.runUntil(eq_.now() + sec(1));
     EXPECT_EQ(completed_, 1);
+}
+
+/**
+ * Requests live in a pool whose slots must never move: on_complete runs
+ * from its request's slot and here submits the next requests from
+ * inside the call. Starting from one request, each completion submits
+ * two until 600 are out, so the in-flight count climbs past 300 and
+ * every growth of the pool happens inside an on_complete. Then a power
+ * loss kills a batch mid-flight.
+ */
+TEST_F(IoSchedulerTest, PooledRequestsSurviveGrowthAndPowerLoss)
+{
+    struct Sent
+    {
+        VssdId vssd;
+        Lpa lpa;
+        std::uint32_t npages;
+        int completions = 0;
+    };
+    std::vector<Sent> sent;  // by trace_id, which counts submissions
+    Rng rng(41);
+    std::size_t live = 0;  // submitted, on_complete not yet returned
+    std::size_t high = 0;
+    std::size_t ramp_left = 599;
+    std::function<void(Lpa)> submitOne = [&](Lpa base) {
+        IoRequest req;
+        req.vssd = VssdId(rng.uniformInt(std::uint64_t(2)));
+        req.type = rng.bernoulli(0.5) ? IoType::kWrite : IoType::kRead;
+        req.npages = std::uint32_t(rng.uniformInt(std::int64_t(1), 8));
+        req.lpa = base + rng.uniformInt(std::uint64_t(120));
+        req.on_complete = [&](const IoRequest &, SimTime) {
+            for (int i = 0; i < 2 && ramp_left > 0; ++i, --ramp_left)
+                submitOne(0);
+            --live;
+        };
+        sent.push_back(Sent{req.vssd, req.lpa, req.npages});
+        sched_.submit(std::move(req));
+        high = std::max(high, ++live);
+    };
+    sched_.setCompletionTap([&](const IoRequest &req) {
+        ASSERT_LT(req.trace_id, sent.size());
+        Sent &s = sent[req.trace_id];
+        EXPECT_EQ(req.vssd, s.vssd);
+        EXPECT_EQ(req.lpa, s.lpa);
+        EXPECT_EQ(req.npages, s.npages);
+        EXPECT_EQ(req.pages_done, req.npages);
+        ++s.completions;
+    });
+
+    submitOne(0);
+    eq_.runUntil(sec(5));
+    ASSERT_EQ(sent.size(), 600u);
+    for (const Sent &s : sent)
+        EXPECT_EQ(s.completions, 1);
+    EXPECT_EQ(live, 0u);
+    EXPECT_GE(high, 300u);
+    EXPECT_EQ(sched_.requestSlots(), high);
+
+    // Power loss with a batch in flight: the queue and the scheduler
+    // forget it (as recovery does), and the channels' dispatch slots
+    // come back.
+    const std::size_t slots = sched_.requestSlots();
+    ramp_left = 0;
+    for (int i = 0; i < 40; ++i)
+        submitOne(400);
+    eq_.runUntil(eq_.now() + usec(200));
+    ASSERT_GT(live, 0u);
+    eq_.clearPending();
+    sched_.crashReset();
+    for (ChannelId ch = 0; ch < geo_.num_channels; ++ch)
+        dev_.channel(ch).crashReset();
+    live = 0;
+    EXPECT_EQ(sched_.inflightRequests(0) + sched_.inflightRequests(1), 0u);
+    EXPECT_EQ(sched_.queuedOps(), 0u);
+
+    const std::size_t crashed_batch = sent.size();
+    std::vector<int> before_crash;
+    for (const Sent &s : sent)
+        before_crash.push_back(s.completions);
+    for (int i = 0; i < 40; ++i)
+        submitOne(800);
+    eq_.runUntil(eq_.now() + sec(5));
+    for (std::size_t i = 0; i < crashed_batch; ++i)
+        EXPECT_EQ(sent[i].completions, before_crash[i]) << "request " << i;
+    for (std::size_t i = crashed_batch; i < sent.size(); ++i)
+        EXPECT_EQ(sent[i].completions, 1) << "request " << i;
+    EXPECT_EQ(sched_.requestSlots(), slots);
 }
 
 TEST_F(IoSchedulerTest, DispatchCountsGrow)
