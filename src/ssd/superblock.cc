@@ -70,6 +70,20 @@ Superblock::freePages() const
 }
 
 bool
+Superblock::exhausted() const
+{
+    const std::uint32_t ppb = dev_->geometry().pages_per_block;
+    for (const auto &s : stripes_) {
+        for (std::size_t i = s.cursor; i < s.blocks.size(); ++i) {
+            const auto &[chip, blk] = s.blocks[i];
+            if (dev_->chip(s.channel, chip).block(blk).write_ptr < ppb)
+                return false;
+        }
+    }
+    return true;
+}
+
+bool
 Superblock::allocateInStripe(Stripe &s, Ppa &out)
 {
     const auto &geo = dev_->geometry();

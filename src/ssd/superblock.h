@@ -60,8 +60,9 @@ class Superblock
     /** Pages still programmable (sum of unwritten pages). */
     std::uint64_t freePages() const;
 
-    /** True when every block is fully programmed. */
-    bool exhausted() const { return freePages() == 0; }
+    /** True when every block is fully programmed (freePages() == 0).
+     *  Stops at the first block with a free page. */
+    bool exhausted() const;
 
     /**
      * Program the next free page, preferring the channel whose bus frees
