@@ -24,6 +24,8 @@ inline constexpr double kAlphaBi = 0.0;
 
 /** Guaranteed SLO-violation budget (Eq. 1 denominator; §3.3.3: 1 %). */
 inline constexpr double kSloVioGuar = 0.01;
+static_assert(kSloVioGuar > 0.0 && kSloVioGuar < 1.0,
+              "the SLO-violation budget is a fraction in (0, 1)");
 
 /** Pick the fine-tuned alpha for a learned cluster id (0..2), or the
  *  unified alpha for unknown (-1). */

@@ -43,6 +43,10 @@ TEST(ConfigValidateTest, RejectsNonPositiveWindowAndGuarantee)
     FleetIoConfig cfg;
     cfg.decision_window = 0;
     EXPECT_FALSE(cfg.validate().empty());
+    // The guarantee is the constant kSloVioGuar, held to (0, 1) by a
+    // static_assert beside it; check the same range here.
+    EXPECT_GT(kSloVioGuar, 0.0);
+    EXPECT_LT(kSloVioGuar, 1.0);
 }
 
 TEST(ConfigValidateTest, RejectsDegenerateRlShape)
