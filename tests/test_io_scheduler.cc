@@ -194,8 +194,8 @@ TEST_F(IoSchedulerTest, BlockedWritesRetryAfterCapacityFrees)
  * from its request's slot and here submits the next requests from
  * inside the call. Starting from one request, each completion submits
  * two until 600 are out, so the in-flight count climbs past 300 and
- * every growth of the pool happens inside an on_complete. Then a power
- * loss kills a batch mid-flight.
+ * the pool grows past its first slot only inside an on_complete. Then
+ * a power loss kills a batch mid-flight.
  */
 TEST_F(IoSchedulerTest, PooledRequestsSurviveGrowthAndPowerLoss)
 {
