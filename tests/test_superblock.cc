@@ -90,6 +90,28 @@ TEST_F(SuperblockTest, FreePagesAndExhaustion)
     EXPECT_FALSE(sb_.allocatePage(ppa));
 }
 
+TEST_F(SuperblockTest, ExhaustedStopsAtTheFirstFreePage)
+{
+    // Two stripes of two blocks. exhausted() stops at the first block
+    // with a free page; it must agree with freePages() == 0 while the
+    // first stripe fills (its later blocks and the second stripe still
+    // free) and while the second stripe fills after it.
+    ASSERT_TRUE(sb_.addStripe(2, 2, 1));
+    ASSERT_TRUE(sb_.addStripe(5, 2, 1));
+    const std::uint64_t per_stripe =
+        std::uint64_t(2) * geo_.pages_per_block;
+    Ppa ppa;
+    for (const ChannelId ch : {ChannelId(2), ChannelId(5)}) {
+        for (std::uint64_t i = 0; i < per_stripe; ++i) {
+            EXPECT_FALSE(sb_.exhausted());
+            ASSERT_TRUE(sb_.allocatePageOnChannel(ch, ppa));
+            EXPECT_EQ(sb_.exhausted(), sb_.freePages() == 0);
+        }
+    }
+    EXPECT_TRUE(sb_.exhausted());
+    EXPECT_EQ(sb_.freePages(), 0u);
+}
+
 TEST_F(SuperblockTest, AllocatePageOnSpecificChannel)
 {
     ASSERT_TRUE(sb_.addStripe(2, 1, 1));
